@@ -4,6 +4,8 @@
 // chunks, VMs with 4 GB RAM, QEMU pre-copy memory migration capped at 1 Gbps.
 #pragma once
 
+#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "cloud/experiment.h"
@@ -81,6 +83,16 @@ inline ExperimentConfig cm1_config(core::Approach a) {
   cfg.cluster.num_nodes = 80;        // 64 sources + destinations + headroom
   cfg.vm.compute_slice_s = 0.25;
   return cfg;
+}
+
+/// Solver regime of the sweep binaries: ABLATE_INCREMENTAL=off (or 0 /
+/// false) selects the full re-solve ablation, anything else keeps the
+/// incremental solver. The library itself reads no environment; this is
+/// the one place the variable is honoured.
+inline bool incremental_from_env() {
+  const char* env = std::getenv("ABLATE_INCREMENTAL");
+  return env == nullptr || !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
+                             std::strcmp(env, "false") == 0);
 }
 
 inline double storage_traffic(const ExperimentResult& r) {

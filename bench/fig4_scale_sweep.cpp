@@ -158,11 +158,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const bool incremental = incremental_from_env();
   bool any_error = false;
   std::cout << "[\n";
   bool first = true;
   for (std::size_t n = 2; n <= max_n; n *= 2) {
     cloud::ExperimentConfig cfg = scale_config(n, nonblocking, stagger_s, workload);
+    cfg.cluster.network.incremental = incremental;
     cfg.faults = faults;
     cfg.shards = shards;
     // Churn regimes carry the watchdog/invariant auditor: its periodic tick

@@ -108,12 +108,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const bool incremental = incremental_from_env();
   bool any_error = false;
   std::cout << "[\n";
   bool first = true;
   for (std::size_t n = 8; n <= max_n; n *= 2) {
     const std::string spec = spec_arg == "auto" ? default_spec(n) : spec_arg;
     cloud::ExperimentConfig cfg = steady_config(n, nonblocking);
+    cfg.cluster.network.incremental = incremental;
     {
       std::string err;
       if (!cloud::parse_scheduler_spec(spec, &cfg.scheduler, &err)) {

@@ -562,8 +562,8 @@ ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   // The mirror is built from the same FlowNetworkConfig as every shard
-  // replica, so its incremental/full-solve regime (ABLATE_INCREMENTAL)
-  // resolves identically — both regimes stay byte-identical to shards=1.
+  // replica, so its incremental/full-solve regime
+  // (FlowNetworkConfig::incremental) resolves identically — both regimes stay byte-identical to shards=1.
   net::CoupledCoordinator coord(n, cfg_.cluster.network);
   wire_mirror_topology(coord.mirror(), cfg_.cluster);
 

@@ -119,6 +119,13 @@ sim::Task HybridSession::push_task() {
       add_remaining(c);
       continue;
     }
+    if (dst_store_ == nullptr) {
+      // The attempt was aborted and its partial destination salvaged while
+      // the leg was on the wire: the chunk has nowhere to land, exactly as
+      // if the leg had failed.
+      add_remaining(c);
+      continue;
+    }
     co_await dst_store_->write_chunk(c);
     ++chunks_pushed_;
     ++transfer_count_[c];

@@ -74,6 +74,7 @@ sim::Task MirrorSession::background_copy() {
                                net::TrafficClass::kStoragePush))
       break;  // crash under the batch; the retry re-streams un-mirrored chunks
     for (ChunkId c : batch) {
+      if (dst_store_ == nullptr) break;  // salvaged by an abort: never landed
       co_await dst_store_->write_chunk(c);
       mirrored_[c] = 1;
       ++bg_copied_;

@@ -50,13 +50,17 @@ sim::Task PrecopySession::send_chunks(const std::vector<ChunkId>& chunks) {
     if (!co_await net.transfer(src_node_, dst_node_, chunk_bytes * static_cast<double>(n),
                                net::TrafficClass::kStoragePush, cfg_.rate_cap_Bps))
       break;  // crash under the batch: it never arrived
-    for (std::size_t k = 0; k < n; ++k) {
+    // Each write may find the partial destination salvaged by an abort
+    // (dst_store_ gone): the rest of the batch never landed.
+    std::size_t k = 0;
+    for (; k < n && dst_store_ != nullptr; ++k) {
       co_await dst_store_->write_chunk(chunks[i + k]);
       ++send_count_[chunks[i + k]];
       ++chunks_sent_;
       rec_.storage_chunks_pushed += 1;
     }
-    i += n;
+    i += k;
+    if (k < n) break;
   }
   // Everything unsent goes back into the dirty set so the retry (or the
   // next round) re-streams it.

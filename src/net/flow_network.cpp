@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace hm::net {
 
@@ -15,15 +12,14 @@ namespace {
 constexpr double kEpsBytes = 1e-3;   // flows below this are complete
 constexpr double kEpsRate = 1.0;     // rates below 1 B/s are "saturated"
 
+// Phase 1 gathers the dirty region by walking member lists and sorting while
+// it is small next to the live set. From a quarter of the live flows on, one
+// slot-order pass over the live bitmap costs less (no sort, no pointer
+// chasing) and yields the same flows in the same order.
+constexpr std::size_t kGatherRatio = 4;
+
 bool flow_is_done(double remaining, double rate) noexcept {
   return remaining <= kEpsBytes || (rate > kEpsRate && remaining / rate < 1e-9);
-}
-
-bool incremental_default() noexcept {
-  const char* env = std::getenv("ABLATE_INCREMENTAL");
-  if (!env) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-           std::strcmp(env, "false") == 0);
 }
 }  // namespace
 
@@ -42,10 +38,7 @@ const char* traffic_class_name(TrafficClass cls) noexcept {
 }
 
 FlowNetwork::FlowNetwork(sim::Simulator& sim, FlowNetworkConfig cfg)
-    : sim_(sim),
-      cfg_(cfg),
-      incremental_(cfg.incremental < 0 ? incremental_default() : cfg.incremental != 0),
-      trace_solver_(std::getenv("HM_TRACE_SOLVER") != nullptr) {
+    : sim_(sim), cfg_(cfg), incremental_(cfg.incremental) {
   groups_.push_back(Group{kUnlimitedRate});  // group 0: flat network default
   pair_rates_.reserve(64);
 }
@@ -78,10 +71,17 @@ double FlowNetwork::flow_rate(NodeId src, NodeId dst) const noexcept {
   return it == pair_rates_.end() ? 0.0 : it->second.rate;
 }
 
+double FlowNetwork::current_rate_sum() const noexcept {
+  double sum = 0.0;
+  live_bits_.for_each_set([&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
+  return sum;
+}
+
 std::uint32_t FlowNetwork::alloc_flow_slot() {
   if (free_head_ != kNilIndex) {
     const std::uint32_t slot = free_head_;
-    free_head_ = flow_slots_[slot].next_free;
+    free_head_ = flow_slots_[slot].mnext;
+    flow_slots_[slot].mnext = kNilIndex;
     return slot;
   }
   flow_slots_.emplace_back();
@@ -138,6 +138,7 @@ std::uint32_t FlowNetwork::alloc_component() {
   }
   Component& c = comps_[id];
   c.count = 0;
+  c.head = kNilIndex;
   c.next_free = kNilIndex;
   ++c.gen;  // invalidates NIC-owner entries from previous occupants
   c.dirty = false;
@@ -157,9 +158,29 @@ void FlowNetwork::release_component(std::uint32_t id) noexcept {
 void FlowNetwork::detach_from_component(FlowSlot& fs) noexcept {
   if (fs.comp == kNilIndex) return;
   Component& c = comps_[fs.comp];
-  c.dirty = true;
+  if (fs.mprev != kNilIndex)
+    flow_slots_[fs.mprev].mnext = fs.mnext;
+  else
+    c.head = fs.mnext;
+  if (fs.mnext != kNilIndex) flow_slots_[fs.mnext].mprev = fs.mprev;
+  fs.mnext = fs.mprev = kNilIndex;
+  set_dirty(fs.comp);
   if (--c.count == 0) release_component(fs.comp);
   fs.comp = kNilIndex;
+}
+
+void FlowNetwork::set_dirty(std::uint32_t comp) {
+  Component& c = comps_[comp];
+  if (c.dirty) return;
+  c.dirty = true;
+  dirty_comps_.push_back(comp);
+}
+
+void FlowNetwork::dirty_nic_owner(std::uint32_t c) {
+  if (c >= nic_owner_.size()) return;
+  const std::uint32_t owner = nic_owner_[c];
+  if (owner != kNilIndex && comps_[owner].in_use && comps_[owner].gen == nic_owner_gen_[c])
+    set_dirty(owner);
 }
 
 void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
@@ -190,7 +211,7 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
   fs.in_use = false;
   ++fs.gen;
   live_bits_.reset(slot);
-  fs.next_free = free_head_;
+  fs.mnext = free_head_;  // detached above: the link is free for the free list
   free_head_ = slot;
   --live_flows_;
 }
@@ -273,35 +294,23 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   compute_incidence(fs);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
   // The arrival can merge with any component reachable through its
-  // endpoints: dirty whatever currently owns those NIC constraints. The
-  // generation check rejects entries whose owner has dissolved — a live
-  // clean component always has fresh entries for all its NIC constraints
-  // (its last publish wrote them and nothing else may touch them).
-  const std::size_t nn = nodes_.size();
-  if (nic_owner_.size() < 2 * nn) {
-    nic_owner_.resize(2 * nn, kNilIndex);
-    nic_owner_gen_.resize(2 * nn, 0);
-  }
-  for (int k = 0; k < 2; ++k) {
-    const std::uint32_t c = fs.constraints[k];
-    const std::uint32_t owner = nic_owner_[c];
-    if (owner != kNilIndex && comps_[owner].in_use &&
-        comps_[owner].gen == nic_owner_gen_[c])
-      comps_[owner].dirty = true;
-  }
+  // endpoints: dirty whatever currently owns those NIC constraints.
+  for (int k = 0; k < 2; ++k) dirty_nic_owner(fs.constraints[k]);
   ++pair_rates_[pair_key(f.src, f.dst)].count;
   ++live_flows_;
   ++flows_started_;
   if (coupled_) {
     // Epoch-coupled shard mode: the solve happens in the coordinator's
     // mirror. Record the arrival and the demand it places on cross-shard
-    // constraints; rates come back through apply_external_rates.
+    // constraints; rates come back through apply_external_rates. Nothing
+    // here ever solves, so the arrival stays off the arrivals list.
     coupled_adds_.push_back(CoupledAdd{slot, f.src, f.dst, op->bytes, f.cap});
     for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
       coupled_demand_.push_back({fs.constraints[k], +1.0});
     coupled_sync_ = true;
     return;
   }
+  arrivals_.push_back(slot);
   // Epoch batching: the max-min solve is deferred to a zero-delay settle
   // event, so every other arrival in this virtual instant shares it. The
   // flow carries rate 0 for zero virtual time, which integrates to nothing.
@@ -311,15 +320,8 @@ void FlowNetwork::begin_flow(FlowOp* op) {
 // --- fault injection ---------------------------------------------------------
 
 void FlowNetwork::dirty_node_components(NodeId n) {
-  const std::size_t nn = nodes_.size();
-  const std::uint32_t cs[2] = {n, static_cast<std::uint32_t>(nn + n)};
-  for (const std::uint32_t c : cs) {
-    if (c >= nic_owner_.size()) continue;
-    const std::uint32_t owner = nic_owner_[c];
-    if (owner != kNilIndex && comps_[owner].in_use &&
-        comps_[owner].gen == nic_owner_gen_[c])
-      comps_[owner].dirty = true;
-  }
+  dirty_nic_owner(n);
+  dirty_nic_owner(static_cast<std::uint32_t>(nodes_.size() + n));
 }
 
 void FlowNetwork::set_node_up(NodeId n, bool up) {
@@ -561,14 +563,64 @@ void FlowNetwork::run_fill(std::size_t first_item, std::size_t n_items) {
   }
 }
 
+// Phase 1 (see the header's "Incremental solver invariants"). Incremental
+// epochs gather candidates from the arrivals list and the dirty components'
+// member lists and sort them, so the epoch pays for the dirty region, not for
+// every live flow; detaching in ascending slot order keeps component
+// releases — and with them the free list and every later component id —
+// exactly as a slot-order scan would leave them. A dirty region of at least
+// a quarter of the live flows is collected by that scan instead, which then
+// costs O(dirty) too.
+bool FlowNetwork::collect_affected(bool topo_changed) {
+  items_.clear();
+  bool any_split_risk = false;
+  const auto collect = [&](std::uint32_t slot) {
+    FlowSlot& fs = flow_slots_[slot];
+    const std::uint32_t prev = fs.comp;  // kNil for this epoch's arrivals
+    if (prev != kNilIndex && comps_[prev].split_risk) any_split_risk = true;
+    detach_from_component(fs);
+    items_.push_back(SolverItem{&fs.flow, slot, 0.0, false, 0, prev, {}, 0});
+  };
+  // Every live flow is affected when ablated off, or after a topology change
+  // shifted the incidence ids (recomputed here with the shared counts).
+  const bool all = !incremental_ || topo_changed;
+  std::size_t candidates = arrivals_.size();
+  for (const std::uint32_t id : dirty_comps_)
+    if (comps_[id].in_use) candidates += comps_[id].count;
+  if (all || candidates * kGatherRatio >= live_flows_) {
+    if (all) ++live_scans_;
+    live_bits_.for_each_set([&](std::uint64_t s) {
+      const std::uint32_t slot = static_cast<std::uint32_t>(s);
+      FlowSlot& fs = flow_slots_[slot];
+      if (topo_changed) {
+        compute_incidence(fs);
+        for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
+      }
+      if (all || fs.comp == kNilIndex || comps_[fs.comp].dirty) collect(slot);
+    });
+    return any_split_risk;
+  }
+  affected_.assign(arrivals_.begin(), arrivals_.end());
+  for (const std::uint32_t id : dirty_comps_) {
+    if (!comps_[id].in_use) continue;  // dissolved by departures since
+    for (std::uint32_t s = comps_[id].head; s != kNilIndex; s = flow_slots_[s].mnext)
+      affected_.push_back(s);
+  }
+  std::sort(affected_.begin(), affected_.end());
+  affected_.erase(std::unique(affected_.begin(), affected_.end()), affected_.end());
+  for (const std::uint32_t slot : affected_) {
+    const FlowSlot& fs = flow_slots_[slot];
+    // An arrival may have failed (slot dead) before this settle.
+    if (!fs.in_use || (fs.comp != kNilIndex && !comps_[fs.comp].dirty)) continue;
+    collect(slot);
+  }
+  return any_split_risk;
+}
+
 // One settle epoch: re-solve only the dirty region (see the header's
 // "Incremental solver invariants"), validate shared constraints, escalate to
 // a global solve when one is violated, publish rates and components.
 void FlowNetwork::solve_epoch() {
-#ifdef HM_EPOCH_TRACE
-  if (!mirror_ && std::getenv("HM_EPOCH_TRACE"))
-    std::fprintf(stderr, "E %.17g\n", sim_.now());
-#endif
   ++recompute_count_;
   const bool topo_changed = solved_topology_gen_ != topology_gen_;
   solved_topology_gen_ = topology_gen_;
@@ -581,28 +633,7 @@ void FlowNetwork::solve_epoch() {
     reset_arena();  // constraint ids shifted: the dense layout is invalid
   }
 
-  // Phase 1 — canonical live scan in slot order (word-skipping bitmap, so
-  // the epoch pays for live flows, not for the slab's high-water mark):
-  // collect affected flows. Affected = new arrival, member of a dirty
-  // component, ablated-off, or any flow after a topology change (incidence
-  // ids shift with node count).
-  items_.clear();
-  bool any_split_risk = false;
-  live_bits_.for_each_set([&](std::uint64_t s) {
-    const std::uint32_t slot = static_cast<std::uint32_t>(s);
-    FlowSlot& fs = flow_slots_[slot];
-    if (topo_changed) {
-      compute_incidence(fs);
-      for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
-    }
-    const bool affected = !incremental_ || topo_changed || fs.comp == kNilIndex ||
-                          comps_[fs.comp].dirty;
-    if (!affected) return;
-    const std::uint32_t prev = fs.comp;  // kNil for this epoch's arrivals
-    if (prev != kNilIndex && comps_[prev].split_risk) any_split_risk = true;
-    detach_from_component(fs);
-    items_.push_back(SolverItem{&fs.flow, slot, 0.0, false, 0, prev, {}, 0});
-  });
+  const bool any_split_risk = collect_affected(topo_changed);
 
   bool escalated = false;
   std::size_t n_groups = 0;
@@ -727,28 +758,37 @@ void FlowNetwork::solve_epoch() {
     for (std::size_t g = 0; g < n_groups; ++g)
       water_fill(group_start_[g], group_start_[g + 1] - group_start_[g]);
 
-    // Phase 4 — validate shared constraints against total usage, accumulated
-    // in one canonical slot-order pass over cached + fresh rates (identical
-    // accumulation order whichever components were re-solved, so the
-    // escalation decision cannot diverge between ablation modes). Freshly
-    // solved slots are recognized by their solve-pass stamp instead of an
-    // O(slab) slot->item map rebuild.
-    for (std::uint32_t c = n_local; c < cspace; ++c) usage_[c] = 0.0;
-    ++solve_pass_gen_;
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      FlowSlot& fs = flow_slots_[items_[i].slot];
-      fs.item_idx = static_cast<std::uint32_t>(i);
-      fs.solve_gen = solve_pass_gen_;
-    }
-    live_bits_.for_each_set([&](std::uint64_t s) {
-      const FlowSlot& fs = flow_slots_[s];
-      const double r =
-          fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
-      for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
-    });
-    for (std::uint32_t c = n_local; c < cspace && !escalated; ++c) {
-      const double cap = constraint_cap(c);
-      if (std::isfinite(cap) && usage_[c] > cap + kEpsRate) escalated = true;
+    // Phase 4 — validate shared constraints against total usage. Only a
+    // finite shared constraint with live users can be violated (an unused
+    // one carries zero usage), so without one — the non-blocking core —
+    // the pass is skipped outright. Otherwise usage is accumulated in one
+    // canonical slot-order pass over cached + fresh rates: that summation
+    // order decides escalation, and it is identical whichever components
+    // were re-solved, so the decision cannot diverge between ablation
+    // modes. Freshly solved slots are recognized by their solve-pass stamp
+    // instead of an O(slab) slot->item map rebuild.
+    bool finite_shared_in_use = false;
+    for (std::uint32_t c = n_local; c < cspace && !finite_shared_in_use; ++c)
+      finite_shared_in_use = shared_users_[c] > 0 && std::isfinite(constraint_cap(c));
+    if (finite_shared_in_use) {
+      ++live_scans_;
+      for (std::uint32_t c = n_local; c < cspace; ++c) usage_[c] = 0.0;
+      ++solve_pass_gen_;
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        FlowSlot& fs = flow_slots_[items_[i].slot];
+        fs.item_idx = static_cast<std::uint32_t>(i);
+        fs.solve_gen = solve_pass_gen_;
+      }
+      live_bits_.for_each_set([&](std::uint64_t s) {
+        const FlowSlot& fs = flow_slots_[s];
+        const double r =
+            fs.solve_gen == solve_pass_gen_ ? items_[fs.item_idx].alloc : fs.flow.rate;
+        for (std::uint8_t k = 2; k < fs.n_constraints; ++k) usage_[fs.constraints[k]] += r;
+      });
+      for (std::uint32_t c = n_local; c < cspace && !escalated; ++c) {
+        const double cap = constraint_cap(c);
+        if (std::isfinite(cap) && usage_[c] > cap + kEpsRate) escalated = true;
+      }
     }
 
     // Phase 5 — escalation: a shared constraint binds across components, so
@@ -758,6 +798,7 @@ void FlowNetwork::solve_epoch() {
     // splitting — the whole coupled region.
     if (escalated) {
       ++escalations_;
+      ++live_scans_;
       items_.clear();
       live_bits_.for_each_set([&](std::uint64_t s) {
         FlowSlot& fs = flow_slots_[s];
@@ -774,9 +815,9 @@ void FlowNetwork::solve_epoch() {
     }
   }
 
-  // Phase 6 — publish: assign (re)built components, record NIC-constraint
-  // ownership for arrival dirtying, apply rates (projections push only for
-  // flows whose rate actually changed), refresh the drift-free rate sum.
+  // Phase 6 — publish: assign (re)built components and their member lists,
+  // record NIC-constraint ownership for arrival dirtying, apply rates
+  // (projections push only for flows whose rate actually changed).
   if (nic_owner_.size() < 2 * nodes_.size()) {
     nic_owner_.resize(2 * nodes_.size(), kNilIndex);
     nic_owner_gen_.resize(2 * nodes_.size(), 0);
@@ -790,8 +831,13 @@ void FlowNetwork::solve_epoch() {
     comps_[comp].split_risk = escalated;
     comps_[comp].count = group_start_[g + 1] - group_start_[g];
     for (std::uint32_t i = group_start_[g]; i < group_start_[g + 1]; ++i) {
-      FlowSlot& fs = flow_slots_[items_[i].slot];
+      const std::uint32_t slot = items_[i].slot;
+      FlowSlot& fs = flow_slots_[slot];
       fs.comp = comp;
+      fs.mprev = kNilIndex;
+      fs.mnext = comps_[comp].head;
+      if (fs.mnext != kNilIndex) flow_slots_[fs.mnext].mprev = slot;
+      comps_[comp].head = slot;
       for (int k = 0; k < 2; ++k) {
         nic_owner_[fs.constraints[k]] = comp;
         nic_owner_gen_[fs.constraints[k]] = comps_[comp].gen;
@@ -800,18 +846,11 @@ void FlowNetwork::solve_epoch() {
   }
   solved_components_ += n_groups;
   touched_flows_ += items_.size();
-  if (trace_solver_) {
-    std::fprintf(stderr, "epoch %llu: live=%zu items=%zu groups=%zu esc=%d\n",
-                 static_cast<unsigned long long>(recompute_count_), live_flows_,
-                 items_.size(), n_groups, static_cast<int>(escalated));
-  }
   for (SolverItem& it : items_) apply_rate(*it.f, it.alloc, it.slot);
-  {
-    double sum = 0.0;
-    live_bits_.for_each_set(
-        [&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
-    rate_sum_ = sum;
-  }
+  // Every arrival is solved and every component is clean now (the ones
+  // flagged this epoch were dissolved; publish allocated clean ones).
+  arrivals_.clear();
+  dirty_comps_.clear();
 }
 
 void FlowNetwork::schedule_completion() {
@@ -928,9 +967,6 @@ void FlowNetwork::apply_external_rates(
   advance_to_now();
   for (const auto& [slot, rate] : rates)
     apply_rate(flow_slots_[slot].flow, rate, slot);
-  double sum = 0.0;
-  live_bits_.for_each_set([&](std::uint64_t s) { sum += flow_slots_[s].flow.rate; });
-  rate_sum_ = sum;
   schedule_completion();
 }
 
@@ -953,18 +989,8 @@ std::uint32_t FlowNetwork::mirror_add_flow(NodeId src, NodeId dst, double bytes,
   fs.comp = kNilIndex;  // affected at the next mirror solve
   compute_incidence(fs);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
-  const std::size_t nn = nodes_.size();
-  if (nic_owner_.size() < 2 * nn) {
-    nic_owner_.resize(2 * nn, kNilIndex);
-    nic_owner_gen_.resize(2 * nn, 0);
-  }
-  for (int k = 0; k < 2; ++k) {
-    const std::uint32_t c = fs.constraints[k];
-    const std::uint32_t owner = nic_owner_[c];
-    if (owner != kNilIndex && comps_[owner].in_use &&
-        comps_[owner].gen == nic_owner_gen_[c])
-      comps_[owner].dirty = true;
-  }
+  for (int k = 0; k < 2; ++k) dirty_nic_owner(fs.constraints[k]);
+  arrivals_.push_back(slot);
   ++live_flows_;
   ++flows_started_;
   return slot;

@@ -33,8 +33,9 @@
 //  * Completions come from a min-heap of projected finish times that is
 //    invalidated lazily: entries are re-validated against the flow's
 //    current projection when popped instead of being rescanned.
-//  * flow_rate()/current_rate_sum() are maintained incrementally and cost
-//    O(1) per query.
+//  * flow_rate() is maintained incrementally per (src, dst) pair and costs
+//    O(1) per query; current_rate_sum() is summed on demand over the live
+//    flows (only tests ask for it, so no epoch pays to keep it current).
 //
 // Incremental solver invariants
 // -----------------------------
@@ -49,11 +50,28 @@
 //    constraints participate in the component's water-fill like local ones.
 //
 // Per settle epoch:
-//  1. A component is DIRTY iff a flow arrived into it, departed from it, or
-//     the topology changed (which dirties everything). Arrivals dirty every
-//     existing component reachable through their endpoints' local
-//     constraints (arrivals can merge components; departures can split them
-//     — membership is rebuilt from scratch for the dirty region only).
+//  1. A component is DIRTY iff a flow arrived into it, departed from it, a
+//     capacity on its NICs changed, or the topology changed (which dirties
+//     everything). Arrivals dirty every existing component reachable
+//     through their endpoints' local constraints (arrivals can merge
+//     components; departures can split them — membership is rebuilt from
+//     scratch for the dirty region only). Every dirtying goes through
+//     set_dirty(), which appends the component to a dirty list the first
+//     time its flag is raised; begin_flow() appends each arrival to an
+//     arrivals list. Each component keeps an intrusive list of its member
+//     flows, so the affected set is the arrivals plus the dirty components'
+//     members — gathered, sorted by slot and de-duplicated without looking
+//     at any clean flow. Dead slots (a failed arrival) and members of clean
+//     components are skipped; the survivors are detached in ascending slot
+//     order, exactly the order a full slot-order scan would use, so item
+//     order, groups, component ids and the component free list are the
+//     same. When the dirty region holds at least a quarter of the live
+//     flows (one big component, an escalated mega-component), a slot-order
+//     scan of the live bitmap is cheaper than walking and sorting it and
+//     collects the same flows; that scan is O(dirty) as well. Only the
+//     full-solve ablation and a topology change walk every live flow
+//     regardless. Both lists are cleared at the end of the epoch,
+//     when no live component is dirty any more.
 //  2. Dirty components are re-partitioned and water-filled ignoring
 //     non-contained shared constraints; clean components keep their CACHED
 //     rates, projections and completion-heap entries untouched.
@@ -63,7 +81,13 @@
 //     max-min fair for the relaxation, whose feasible set contains the full
 //     problem's. A shared constraint that is not binding never determines a
 //     water-fill increment, so the per-component solution is bit-identical
-//     to the full solve's.
+//     to the full solve's. The validation runs only when some shared
+//     constraint with a finite cap has live users: an unused one carries
+//     zero usage and an unlimited one cannot be exceeded, so on the
+//     non-blocking core the pass is skipped outright. When it does run, it
+//     accumulates usage in one slot-order pass over every live flow — that
+//     summation order decides escalation, so it must not depend on which
+//     components were re-solved.
 //  4. If a shared constraint IS violated, the epoch escalates: one global
 //     water-fill over all live flows with every constraint (exactly the
 //     pre-incremental algorithm, in canonical slot order), and all flows
@@ -71,12 +95,18 @@
 //     re-attempts decomposition, which is how the mega-component splits
 //     back once pressure drops).
 //
+// An incremental epoch on a network without a finite shared constraint in
+// use therefore costs O(dirty flows), not O(live flows); live_scan_count()
+// counts the epochs' remaining full walks so tests can hold that line.
+// (advance_to_now still integrates every live flow at each settle.)
+//
 // Cached rates are reusable because a component's solution is a pure
 // function of (member flows in slot order, their caps, endpoint capacities,
 // contained shared capacities) — none of which change while the component
-// stays clean. This is what makes ABLATE_INCREMENTAL=off (re-solve every
-// component each epoch) byte-identical to the incremental mode, which the
-// randomized equivalence suite asserts.
+// stays clean. This is what makes the full-solve ablation
+// (FlowNetworkConfig::incremental = false: re-solve every component each
+// epoch) byte-identical to the incremental mode, which the randomized
+// equivalence suite asserts.
 //
 // Membership fast path (merge-only epochs): arrivals and capacity changes
 // can only MERGE components, never split them — splits require a departure
@@ -138,11 +168,10 @@ struct FlowNetworkConfig {
   double fabric_Bps = 8.0e9;     // aggregate switch capacity
   double latency_s = 100e-6;     // one-way message latency (paper: ~0.1 ms)
   double loopback_Bps = 8.0e9;   // same-node transfers (not counted as traffic)
-  /// Incremental component-scoped solving: -1 = follow the
-  /// ABLATE_INCREMENTAL env var (default on), 0 = off (full re-solve each
-  /// epoch), 1 = on. Lets harnesses pin the regime per experiment instead
-  /// of process-wide (e.g. the record→replay equivalence tests).
-  int incremental = -1;
+  /// Incremental component-scoped solving; false re-solves every component
+  /// each epoch (the full-solve ablation). Rates are byte-identical either
+  /// way; only the solver-work counters differ.
+  bool incremental = true;
 };
 
 using SwitchGroupId = std::uint32_t;
@@ -372,7 +401,8 @@ class FlowNetwork {
 
   // --- introspection (tests, benches) -------------------------------------
   std::size_t active_flows() const noexcept { return live_flows_; }
-  double current_rate_sum() const noexcept { return live_flows_ ? rate_sum_ : 0.0; }
+  /// Sum of live flow rates, computed on demand (O(live flows)).
+  double current_rate_sum() const noexcept;
   double flow_rate(NodeId src, NodeId dst) const noexcept;  // sum over matching flows
   /// Max-min solve epochs so far; lets tests assert that a burst of
   /// same-timestamp arrivals settles with exactly one recompute.
@@ -395,10 +425,17 @@ class FlowNetwork {
   std::uint64_t membership_fast_epochs() const noexcept { return membership_fast_epochs_; }
   /// Live connected components right now (0 when idle).
   std::size_t component_count() const noexcept { return live_components_; }
+  /// Walks over every live flow made by settle epochs (the phase-1 scan of
+  /// a full solve or a topology change, the phase-4 shared-usage pass, the
+  /// escalation collect). A phase-1 scan taken because the dirty region is
+  /// at least a quarter of the live flows costs O(dirty) and is not counted.
+  /// Incremental epochs on a network without a finite shared constraint
+  /// make none; tests assert it.
+  std::uint64_t live_scan_count() const noexcept { return live_scans_; }
   bool incremental_enabled() const noexcept { return incremental_; }
-  /// Ablation toggle (also honoured from the ABLATE_INCREMENTAL env var at
-  /// construction): off re-solves every component each epoch. Rates are
-  /// byte-identical either way; only the work counters differ.
+  /// Ablation toggle (FlowNetworkConfig::incremental at construction): off
+  /// re-solves every component each epoch. Rates are byte-identical either
+  /// way; only the work counters differ.
   void set_incremental(bool on) noexcept { incremental_ = on; }
 
   // --- epoch-coupled sharding ----------------------------------------------
@@ -435,8 +472,8 @@ class FlowNetwork {
                           std::vector<std::uint32_t>& removes,
                           std::vector<std::pair<std::uint32_t, double>>& demand);
   /// Apply rates computed by the coordinator's mirror solve: advances flow
-  /// progress to now, applies each (local slot, rate), refreshes the rate
-  /// sum and re-arms the completion timer. Called once per sync round.
+  /// progress to now, applies each (local slot, rate) and re-arms the
+  /// completion timer. Called once per sync round.
   void apply_external_rates(
       const std::vector<std::pair<std::uint32_t, double>>& rates);
   /// Earliest live completion projection this shard tracks (-1 when none).
@@ -470,29 +507,37 @@ class FlowNetwork {
     double cap = kUnlimitedRate;
     double proj = kUnlimitedRate;  // projected completion (absolute time)
   };
+  // Laid out to fill exactly two cache lines (128 bytes): the 8-byte
+  // fields first, then the 4-byte ones, the flags last.
   struct FlowSlot {
     Flow flow;
     // Continuation of the awaiting transfer op; stepped (via one zero-delay
     // event) when the flow completes. Replaces the per-transfer done Event.
     FlowOp* op = nullptr;
+    // Solve pass in which item_idx was written (see item_idx).
+    std::uint64_t solve_gen = 0;
+    // Dense escalation-arena indices in acidx are valid while this matches
+    // arena_gen_ (see "persistent compact arena").
+    std::uint64_t arena_bound_gen = 0;
     std::uint32_t gen = 0;  // bumped on release; completion entries compare it
-    std::uint32_t next_free = kNilIndex;
-    bool in_use = false;
     // Position in items_ for the current solve pass (valid while solve_gen
     // matches solve_pass_gen_): lets the shared-constraint usage pass look
     // up a freshly solved rate without an O(slab) slot->item map rebuild.
     std::uint32_t item_idx = 0;
-    std::uint64_t solve_gen = 0;
+    std::uint32_t comp = kNilIndex;  // owning component; kNil until solved
+    // Intrusive links in the owning component's member list (unordered;
+    // phase 1 sorts what it collects into slot order). A free slot is on no
+    // member list, so the slot free list threads through mnext.
+    std::uint32_t mnext = kNilIndex;
+    std::uint32_t mprev = kNilIndex;
     // Constraint incidence, computed at arrival (rebuilt on topology
     // change): [egress(src), ingress(dst), fabric, uplink-up, uplink-down].
     std::uint32_t constraints[5] = {};
+    std::uint32_t acidx[5] = {};  // arena index per constraint
     std::uint8_t n_constraints = 0;
-    std::uint32_t comp = kNilIndex;  // owning component; kNil until solved
-    // Cached dense indices into the escalation arena (valid while
-    // arena_bound_gen matches arena_gen_; see "persistent compact arena").
-    std::uint32_t acidx[5] = {};
-    std::uint64_t arena_bound_gen = 0;
+    bool in_use = false;
   };
+  static_assert(sizeof(FlowSlot) == 128, "FlowSlot should fill two cache lines");
   struct Node {
     double egress_Bps;
     double ingress_Bps;
@@ -507,13 +552,14 @@ class FlowNetwork {
   struct Group {
     double uplink_Bps;
   };
-  /// Component of the flows<->constraints incidence graph. Membership is
-  /// implicit (flows point at components); only the live count and the
-  /// dirty flag persist between epochs. `gen` survives slot reuse so stale
-  /// NIC-owner entries can be detected instead of dirtying an innocent
-  /// component that recycled the id.
+  /// Component of the flows<->constraints incidence graph. Flows point at
+  /// their component and sit on its intrusive member list (`head`), so a
+  /// dirty component yields its members without a live-flow scan. `gen`
+  /// survives slot reuse so stale NIC-owner entries can be detected instead
+  /// of dirtying an innocent component that recycled the id.
   struct Component {
     std::uint32_t count = 0;     // live member flows
+    std::uint32_t head = kNilIndex;  // first member slot (FlowSlot::mnext chain)
     std::uint32_t next_free = kNilIndex;
     std::uint32_t gen = 0;
     bool dirty = false;
@@ -565,6 +611,14 @@ class FlowNetwork {
   std::uint32_t alloc_component();
   void release_component(std::uint32_t id) noexcept;
   void detach_from_component(FlowSlot& fs) noexcept;
+  /// Flag a component for re-solve at the next settle; the first flagging
+  /// appends it to dirty_comps_, which phase 1 collects from.
+  void set_dirty(std::uint32_t comp);
+  /// set_dirty the live component that last owned NIC constraint c, if any.
+  /// The generation check rejects entries whose owner has dissolved — a live
+  /// clean component always has fresh entries for all its NIC constraints
+  /// (its last publish wrote them and nothing else may touch them).
+  void dirty_nic_owner(std::uint32_t c);
 
   /// Tear down every live flow with an endpoint at `n` (crash): credit back
   /// un-transferred bytes, step the ops with failed=true, release the slots
@@ -575,6 +629,10 @@ class FlowNetwork {
 
   void advance_to_now();
   void solve_epoch();
+  /// Phase 1 of solve_epoch: move the affected flows into items_ in
+  /// ascending slot order, detaching them from their components. Returns
+  /// whether any came from a split-risk component.
+  bool collect_affected(bool topo_changed);
   void water_fill(std::size_t first_item, std::size_t n_items);
   void water_fill_escalated();
   void run_fill(std::size_t first_item, std::size_t n_items);
@@ -592,9 +650,9 @@ class FlowNetwork {
   // Slab of flow slots. A flat vector: slots hold no non-movable members
   // anymore (the done Event became the op pointer) and no reference into the
   // slab is held across an alloc_flow_slot() call. Live slots are tracked in
-  // a packed bitmap so the per-epoch passes (collect, shared-usage
-  // validation, rate-sum refresh) walk live flows in canonical slot order
-  // while word-skipping dead regions, instead of touching every slab slot.
+  // a packed bitmap so the passes that do need every live flow (full
+  // solves, shared-usage validation, escalation, advance) walk them in
+  // canonical slot order while word-skipping dead regions.
   std::vector<FlowSlot> flow_slots_;
   util::DirtyBitmap live_bits_{0};
   std::uint32_t free_head_ = kNilIndex;
@@ -612,6 +670,11 @@ class FlowNetwork {
   // Shared-constraint live user counts (containment test); indexed by
   // constraint id, only entries >= 2*nodes are maintained.
   std::vector<std::uint32_t> shared_users_;
+  // What the next incremental settle must re-solve: slots that arrived since
+  // the last solve, and components flagged dirty since then (both may hold
+  // entries that died meanwhile; phase 1 filters them). Cleared per solve.
+  std::vector<std::uint32_t> arrivals_;
+  std::vector<std::uint32_t> dirty_comps_;
   std::uint64_t topology_gen_ = 0;   // bumped by add_node/add_switch_group
   std::uint64_t solved_topology_gen_ = 0;
 
@@ -623,7 +686,6 @@ class FlowNetwork {
   sim::Simulator::Timer completion_timer_;
   double completion_timer_t_ = -1.0;
 
-  double rate_sum_ = 0.0;
   struct PairRate {
     double rate = 0.0;
     std::uint32_t count = 0;
@@ -631,7 +693,6 @@ class FlowNetwork {
   std::unordered_map<std::uint64_t, PairRate> pair_rates_;
 
   bool incremental_ = true;
-  bool trace_solver_ = false;  // HM_TRACE_SOLVER: per-epoch work to stderr
 
   // Epoch-coupled sharding state (see the public section above).
   bool coupled_ = false;   // shard mode: record deltas instead of solving
@@ -649,6 +710,7 @@ class FlowNetwork {
   std::uint64_t touched_flows_ = 0;
   std::uint64_t escalations_ = 0;
   std::uint64_t membership_fast_epochs_ = 0;
+  std::uint64_t live_scans_ = 0;
   double traffic_[kNumTrafficClasses] = {};
 
   // scratch buffers for the solver (avoid per-epoch allocations)
@@ -663,6 +725,7 @@ class FlowNetwork {
     std::uint8_t n_cidx;
   };
   std::vector<SolverItem> items_;             // affected flows, slot order
+  std::vector<std::uint32_t> affected_;       // phase-1 candidate slots
   std::vector<SolverItem> items_scratch_;     // group-order permutation buffer
   std::vector<std::uint32_t> group_of_item_;  // dense component id per item
   std::vector<std::uint32_t> group_start_;    // group -> first index (+ total)

@@ -135,6 +135,62 @@ TEST(FaultInjection, PrecopyTakePartialExcludesRedirtiedChunks) {
   f.mgr.end_migration();
 }
 
+/// Step the simulator until a transfer leg is on the wire.
+void run_until_leg_in_flight(SessionFixture& f) {
+  for (int i = 0; i < 1000 && f.cluster.network().active_flows() == 0; ++i)
+    f.s.run_until(f.s.now() + 1e-3);
+  ASSERT_GT(f.cluster.network().active_flows(), 0u);
+}
+
+// An abort followed by salvage (take_partial_destination) while a push leg
+// is still in flight: the leg then lands with no destination replica. The
+// chunk must be dropped — not written through the surrendered store, not
+// counted as pushed — and the session must still drain.
+TEST(FaultInjection, HybridSalvageDuringInFlightPushDropsTheChunk) {
+  SessionFixture f;
+  f.populate(8);
+  auto session = make_session(f);
+  session->start();
+  f.s.run_until(f.s.now() + 0.1);  // a few chunks in (see above)
+  run_until_leg_in_flight(f);
+  const std::uint64_t pushed = session->chunks_pushed();
+  EXPECT_GT(pushed, 0u);
+  session->abort();
+  util::DirtyBitmap valid{0};
+  std::unique_ptr<storage::ChunkStore> store = session->take_partial_destination(&valid);
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(valid.count(), pushed);
+  f.s.run();  // the in-flight leg completes; the push loop unwinds
+  EXPECT_EQ(f.cluster.network().active_flows(), 0u);
+  EXPECT_EQ(session->chunks_pushed(), pushed);
+  EXPECT_EQ(f.rec->storage_chunks_pushed, pushed);
+  EXPECT_EQ(store->modified_count(), pushed);
+  f.mgr.end_migration();
+}
+
+TEST(FaultInjection, PrecopySalvageDuringInFlightBatchDropsIt) {
+  SessionFixture f;
+  f.populate(4);
+  PrecopySession session(f.s, f.cluster, &f.mgr, /*dst=*/1, *f.rec);
+  f.mgr.begin_migration(&session);
+  session.start();
+  bool done = false;
+  f.s.spawn([](PrecopySession* ss, bool* d) -> sim::Task {
+    co_await ss->storage_round();
+    *d = true;
+  }(&session, &done));
+  run_until_leg_in_flight(f);
+  session.abort();
+  util::DirtyBitmap valid{0};
+  std::unique_ptr<storage::ChunkStore> store = session.take_partial_destination(&valid);
+  ASSERT_NE(store, nullptr);
+  f.s.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(session.chunks_sent(), 0u);
+  EXPECT_EQ(store->modified_count(), 0u);
+  f.mgr.end_migration();
+}
+
 TEST(FaultInjection, AbortAfterControlTransferYieldsNoPartialState) {
   SessionFixture f;
   f.populate(3);

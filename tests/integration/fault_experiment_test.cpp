@@ -144,16 +144,16 @@ TEST(ChurnExperiment, ChurnWithDomainsByteIdenticalAcrossSolverRegimes) {
   const char* spec =
       "churn:crash-mtbf=1,crash-mttr=1,domain-mtbf=4,domain-mttr=1,"
       "factor=0.3,from=1,until=20;domains:rack0=1-2";
-  auto run = [&](int incremental) {
+  auto run = [&](bool incremental) {
     ExperimentConfig cfg = fault_config(core::Approach::kHybrid, spec);
     cfg.audit = true;
     cfg.ior.iterations = 12;  // long enough for the churn stream to bite
     cfg.cluster.network.incremental = incremental;
     return Experiment(std::move(cfg)).run();
   };
-  const ExperimentResult a = run(1);
-  const ExperimentResult a2 = run(1);
-  const ExperimentResult b = run(0);
+  const ExperimentResult a = run(true);
+  const ExperimentResult a2 = run(true);
+  const ExperimentResult b = run(false);
   EXPECT_TRUE(a.completed) << a.error;
   EXPECT_GE(a.recovery.faults_injected, 1u);
   EXPECT_GE(a.recovery.correlated_events, 1u);

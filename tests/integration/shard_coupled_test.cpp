@@ -29,7 +29,7 @@ using storage::kMiB;
 /// 8 singleton components), but over a finite 300 MB/s fabric aggregate:
 /// every migration contends with every other through one shared constraint,
 /// the epoch-coupled worst case.
-ExperimentConfig finite_fabric_config(int incremental) {
+ExperimentConfig finite_fabric_config(bool incremental) {
   ExperimentConfig cfg;
   cfg.approach = core::Approach::kHybrid;
   cfg.cluster.image = storage::ImageConfig{64 * kMiB, static_cast<std::uint32_t>(kMiB)};
@@ -58,7 +58,7 @@ ExperimentConfig finite_fabric_config(int incremental) {
 /// on 200 MB/s up/down links, unlimited fabric. Shards tear the rack
 /// boundary, so the uplink constraints span shards without the fabric ever
 /// binding.
-ExperimentConfig finite_uplink_config(int incremental) {
+ExperimentConfig finite_uplink_config(bool incremental) {
   ExperimentConfig cfg = finite_fabric_config(incremental);
   cfg.cluster.network.fabric_Bps = net::kUnlimitedRate;
   cfg.cluster.nodes_per_switch = 4;
@@ -131,7 +131,7 @@ TEST(EpochCoupledPlanning, FiniteConstraintsPlanCoupledNotCollapsed) {
 }
 
 TEST(EpochCoupledDeterminism, FiniteFabricByteIdenticalAcrossShardCounts) {
-  for (int incremental : {1, 0}) {
+  for (bool incremental : {true, false}) {
     SCOPED_TRACE(incremental ? "incremental" : "fullsolve");
     const ExperimentResult ref = run_with_shards(finite_fabric_config(incremental), 1);
     ASSERT_TRUE(ref.completed);
@@ -155,7 +155,7 @@ TEST(EpochCoupledDeterminism, SimultaneousBurstTornConstraint) {
   // tear into the one fabric constraint at once, every round carries adds
   // or removals from several shards, and the coordinator's completion-timer
   // emulation faces maximal same-timestamp churn.
-  ExperimentConfig cfg = finite_fabric_config(1);
+  ExperimentConfig cfg = finite_fabric_config(true);
   cfg.migration_interval_s = 0.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
@@ -167,9 +167,9 @@ TEST(EpochCoupledDeterminism, SimultaneousBurstTornConstraint) {
 TEST(EpochCoupledDeterminism, FiniteUplinksByteIdentical) {
   for (std::uint32_t n : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(n));
-    const ExperimentResult ref = run_with_shards(finite_uplink_config(1), 1);
+    const ExperimentResult ref = run_with_shards(finite_uplink_config(true), 1);
     ASSERT_TRUE(ref.completed);
-    const ExperimentResult got = run_with_shards(finite_uplink_config(1), n);
+    const ExperimentResult got = run_with_shards(finite_uplink_config(true), n);
     EXPECT_EQ(got.shards_used, n);
     expect_identical(ref, got);
   }
@@ -180,12 +180,12 @@ TEST(EpochCoupledDeterminism, ThreadsDriverMatchesSequential) {
   // each explicitly so a 1-core CI runner still exercises the threaded
   // barrier (and TSan sees its publication discipline) and a many-core one
   // still exercises the inline round-robin.
-  const ExperimentResult ref = run_with_shards(finite_fabric_config(1), 1);
+  const ExperimentResult ref = run_with_shards(finite_fabric_config(true), 1);
   ASSERT_TRUE(ref.completed);
   for (const char* driver : {"threads", "seq"}) {
     SCOPED_TRACE(driver);
     ::setenv("HM_COUPLED_DRIVER", driver, 1);
-    const ExperimentResult got = run_with_shards(finite_fabric_config(1), 4);
+    const ExperimentResult got = run_with_shards(finite_fabric_config(true), 4);
     ::unsetenv("HM_COUPLED_DRIVER");
     EXPECT_EQ(got.shards_used, 4u);
     expect_identical(ref, got);
@@ -195,7 +195,7 @@ TEST(EpochCoupledDeterminism, ThreadsDriverMatchesSequential) {
 TEST(EpochCoupledFallback, TruncationRerunsSingleShard) {
   // max_sim_time cuts the run mid-flight; the runtime guard must detect the
   // incomplete slice, rerun single-shard, and say so in the telemetry.
-  ExperimentConfig cfg = finite_fabric_config(1);
+  ExperimentConfig cfg = finite_fabric_config(true);
   cfg.max_sim_time = 3.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_FALSE(ref.completed);

@@ -25,7 +25,7 @@ using storage::kMiB;
 /// Decomposable AsyncWR fleet: unlimited fabric (non-blocking core), flat
 /// topology, one distinct destination per migration => every VM is its own
 /// constraint-graph component.
-ExperimentConfig decomposable_config(int incremental) {
+ExperimentConfig decomposable_config(bool incremental) {
   ExperimentConfig cfg;
   cfg.approach = core::Approach::kHybrid;
   cfg.cluster.image = storage::ImageConfig{64 * kMiB, static_cast<std::uint32_t>(kMiB)};
@@ -132,7 +132,7 @@ ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {
 }
 
 TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
-  ExperimentConfig base = decomposable_config(1);
+  ExperimentConfig base = decomposable_config(true);
   base.shards = 4;
   base.normalize();
   EXPECT_GT(plan_shards(base).shard_count(), 1u);
@@ -204,7 +204,7 @@ TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
 }
 
 TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {
-  for (int incremental : {1, 0}) {
+  for (bool incremental : {true, false}) {
     SCOPED_TRACE(incremental ? "incremental" : "fullsolve");
     const ExperimentResult ref = run_with_shards(decomposable_config(incremental), 1);
     ASSERT_TRUE(ref.completed);
@@ -220,7 +220,7 @@ TEST(ShardDeterminism, ByteIdenticalAcrossShardCounts) {
       EXPECT_EQ(got.shards_used, n);
       EXPECT_TRUE(got.shard_fallback_reason.empty()) << got.shard_fallback_reason;
       expect_identical(ref, got, /*exact_epochs=*/true,
-                       /*exact_work=*/incremental == 1);
+                       /*exact_work=*/incremental);
     }
   }
 }
@@ -229,7 +229,7 @@ TEST(ShardDeterminism, SimultaneousMigrationsStayByteIdentical) {
   // interval = 0: every migration launches at the same instant, so settle
   // epochs that one global run batches across components split per shard —
   // epoch counts drift, every simulated field must not.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.migration_interval_s = 0.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
@@ -242,7 +242,7 @@ TEST(ShardDeterminism, SharedDestinationsMergeComponents) {
   // 8 migrations round-robin onto 4 destinations: VM k and VM k+4 share a
   // destination NIC, so the partitioner must merge them — 4 components,
   // even when 8 shards were requested.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.num_destinations = 4;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_TRUE(ref.completed);
@@ -254,7 +254,7 @@ TEST(ShardDeterminism, SharedDestinationsMergeComponents) {
 TEST(ShardDeterminism, TornPartitionRunsOnFewerShards) {
   // Two VMs, eight requested shards: two components, six empty bins. The
   // run must use exactly the two real slices and stay byte-identical.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.num_vms = 2;
   cfg.num_migrations = 2;
   cfg.num_destinations = 2;
@@ -270,7 +270,7 @@ TEST(ShardDeterminism, BroadcastTraceReplayShards) {
   // A generated broadcast trace fans the same op stream to every VM —
   // decomposable, but every VM sees identical timestamps, so epoch counts
   // drift like the simultaneous case.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.workload = WorkloadKind::kTrace;
   cfg.trace.gen.pattern = workloads::TracePattern::kZipfian;
   cfg.trace.gen.duration_s = 15.0;
@@ -292,7 +292,7 @@ TEST(ShardFallback, SeededFaultDrawsCollapseToOneShard) {
   // rand: plan draws share one RNG stream: the planner must refuse to
   // shard, and the run must match the explicit single-shard run exactly
   // (same code path, same seed).
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   std::string err;
   ASSERT_TRUE(sim::parse_fault_spec(
       "rand:crashes=1,degrades=1,from=2,span=3,dur=2", &cfg.faults, &err))
@@ -307,7 +307,7 @@ TEST(ShardFallback, SeededFaultDrawsCollapseToOneShard) {
 
 TEST(ShardFallback, ChurnAndNodeScopedFaultsCollapseWithSpecificReasons) {
   auto reason_for = [](const char* spec) {
-    ExperimentConfig cfg = decomposable_config(1);
+    ExperimentConfig cfg = decomposable_config(true);
     cfg.shards = 4;
     std::string err;
     EXPECT_TRUE(sim::parse_fault_spec(spec, &cfg.faults, &err)) << err;
@@ -330,7 +330,7 @@ TEST(ShardDeterminism, RoutableScriptedFaultPlanStillShards) {
   // Migration-scoped scripted events (src-crash, degrade, flap on migration
   // k) resolve entirely inside migration k's component: the plan shards, and
   // each slice arms exactly the events it owns — byte-identical to shards=1.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   std::string err;
   ASSERT_TRUE(sim::parse_fault_spec(
       "src-crash@2.0+3#1;degrade@4+5*0.25#2;flap@6+1#5", &cfg.faults, &err))
@@ -349,7 +349,7 @@ TEST(ShardFallback, DstScopedEventOnUnusedMigrationCollapses) {
   // dst-crash targeting migration 6 when only 4 migrations run: the
   // destination node is not pinned to any launched migration's component,
   // so the planner must collapse rather than mis-route the event.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.num_migrations = 4;
   std::string err;
   ASSERT_TRUE(sim::parse_fault_spec("dst-crash@2+3#6", &cfg.faults, &err)) << err;
@@ -361,7 +361,7 @@ TEST(ShardFallback, DstScopedEventOnUnusedMigrationCollapses) {
 }
 
 TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.audit = true;
   cfg.shards = 4;
   cfg.normalize();
@@ -371,7 +371,7 @@ TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
 }
 
 TEST(ShardFallback, Cm1CollapsesToOneShard) {
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.workload = WorkloadKind::kCm1;
   cfg.cm1.grid_x = 2;
   cfg.cm1.grid_y = 2;
@@ -399,7 +399,7 @@ TEST(ShardFallback, TruncatedRunRerunsSingleShard) {
   // the global interleave, which a slice cannot know — the executor's guard
   // must detect the incomplete slice and transparently rerun single-shard,
   // reproducing the single-shard truncation exactly.
-  ExperimentConfig cfg = decomposable_config(1);
+  ExperimentConfig cfg = decomposable_config(true);
   cfg.max_sim_time = 3.0;
   const ExperimentResult ref = run_with_shards(cfg, 1);
   ASSERT_FALSE(ref.completed);

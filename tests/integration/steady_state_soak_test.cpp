@@ -25,7 +25,7 @@ using storage::kMiB;
 /// occupied long enough to queue and preempt) and the 12 MB/s memory
 /// dirtying keeps the pre-copy rounds honest. Offsets are sized to stay
 /// inside the 64 MiB image: 8 MiB base + 3600 x 8 KiB tops out at 36 MiB.
-ExperimentConfig soak_config(int incremental) {
+ExperimentConfig soak_config(bool incremental) {
   ExperimentConfig cfg;
   cfg.approach = core::Approach::kHybrid;
   cfg.cluster.num_nodes = 14;  // 8 sources + 4 destinations + spare
@@ -104,7 +104,7 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 TEST(SteadyStateSoak, TwoVirtualHoursOfChurnWithAuditorArmed) {
-  ExperimentResult res = Experiment(soak_config(/*incremental=*/1)).run();
+  ExperimentResult res = Experiment(soak_config(/*incremental=*/true)).run();
   ASSERT_TRUE(res.completed) << res.error;
   EXPECT_TRUE(res.error.empty()) << res.error;
 
@@ -140,9 +140,9 @@ TEST(SteadyStateSoak, TwoVirtualHoursOfChurnWithAuditorArmed) {
 }
 
 TEST(SteadyStateSoak, TimelineIsBitIdenticalAcrossRerunsAndSolverRegimes) {
-  ExperimentResult a = Experiment(soak_config(/*incremental=*/1)).run();
-  ExperimentResult b = Experiment(soak_config(/*incremental=*/1)).run();
-  ExperimentResult c = Experiment(soak_config(/*incremental=*/0)).run();
+  ExperimentResult a = Experiment(soak_config(/*incremental=*/true)).run();
+  ExperimentResult b = Experiment(soak_config(/*incremental=*/true)).run();
+  ExperimentResult c = Experiment(soak_config(/*incremental=*/false)).run();
   ASSERT_TRUE(a.completed) << a.error;
   ASSERT_TRUE(b.completed) << b.error;
   ASSERT_TRUE(c.completed) << c.error;

@@ -16,7 +16,7 @@ namespace {
 using storage::kKiB;
 using storage::kMiB;
 
-ExperimentConfig base_config(int incremental) {
+ExperimentConfig base_config(bool incremental) {
   ExperimentConfig cfg;
   cfg.approach = core::Approach::kHybrid;
   cfg.cluster.num_nodes = 10;
@@ -33,7 +33,7 @@ ExperimentConfig base_config(int incremental) {
   return cfg;
 }
 
-ExperimentConfig asyncwr_config(int incremental) {
+ExperimentConfig asyncwr_config(bool incremental) {
   ExperimentConfig cfg = base_config(incremental);
   cfg.workload = WorkloadKind::kAsyncWr;
   cfg.asyncwr.iterations = 40;
@@ -46,7 +46,7 @@ ExperimentConfig asyncwr_config(int incremental) {
   return cfg;
 }
 
-ExperimentConfig cm1_config(int incremental) {
+ExperimentConfig cm1_config(bool incremental) {
   ExperimentConfig cfg = base_config(incremental);
   cfg.workload = WorkloadKind::kCm1;
   cfg.cm1.grid_x = 2;
@@ -127,15 +127,15 @@ void run_roundtrip(ExperimentConfig cfg) {
   expect_metrics_identical(live, rep);
 }
 
-TEST(TraceReplay, AsyncWrByteIdenticalIncremental) { run_roundtrip(asyncwr_config(1)); }
-TEST(TraceReplay, AsyncWrByteIdenticalFullSolve) { run_roundtrip(asyncwr_config(0)); }
-TEST(TraceReplay, Cm1ByteIdenticalIncremental) { run_roundtrip(cm1_config(1)); }
-TEST(TraceReplay, Cm1ByteIdenticalFullSolve) { run_roundtrip(cm1_config(0)); }
+TEST(TraceReplay, AsyncWrByteIdenticalIncremental) { run_roundtrip(asyncwr_config(true)); }
+TEST(TraceReplay, AsyncWrByteIdenticalFullSolve) { run_roundtrip(asyncwr_config(false)); }
+TEST(TraceReplay, Cm1ByteIdenticalIncremental) { run_roundtrip(cm1_config(true)); }
+TEST(TraceReplay, Cm1ByteIdenticalFullSolve) { run_roundtrip(cm1_config(false)); }
 
 // Replaying through a trace FILE (streaming reader) is equivalent to
 // replaying the in-memory data.
 TEST(TraceReplay, FileReplayMatchesInMemoryReplay) {
-  ExperimentConfig cfg = asyncwr_config(1);
+  ExperimentConfig cfg = asyncwr_config(true);
   workloads::TraceRecorder recorder;
   ExperimentConfig rec_cfg = cfg;
   rec_cfg.trace_recorder = &recorder;
@@ -160,7 +160,7 @@ TEST(TraceReplay, FileReplayMatchesInMemoryReplay) {
 
 // The record_trace_path convenience writes a loadable trace.
 TEST(TraceReplay, RecordTracePathWritesReplayableFile) {
-  ExperimentConfig cfg = asyncwr_config(1);
+  ExperimentConfig cfg = asyncwr_config(true);
   cfg.num_vms = 1;
   cfg.num_migrations = 1;
   const std::string path = ::testing::TempDir() + "trace_record_path.trace";

@@ -1,9 +1,11 @@
 // Incremental-vs-full solver equivalence: the component-scoped solver must
 // produce byte-identical rate streams and completion times to re-solving
-// every component each epoch (ABLATE_INCREMENTAL=off), across randomized
-// flow churn on several topology shapes — flat, fabric-bound (escalation),
-// oversubscribed switch groups, per-flow caps. Also covers the component
-// introspection hooks the benches report.
+// every component each epoch (the full-solve ablation), across randomized
+// flow churn on several topology shapes — flat, non-blocking (no finite
+// shared constraint: phase 4 skipped), fabric-bound (escalation),
+// oversubscribed switch groups, per-flow caps — and under seeded capacity
+// changes, link flaps and node crashes interleaved with the churn. Also
+// covers the component introspection hooks the benches report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,22 +33,35 @@ struct Topology {
   std::vector<double> nic;              // per-node NIC
 };
 
+/// A fault window on one node: applied at `start`, undone at start + dur.
+enum class FaultKind { kScale, kFlap, kCrash };
+struct FaultSpec {
+  double start;
+  double dur;
+  NodeId node;
+  FaultKind kind;
+  double factor;  // kScale: NIC capacity multiplier for the window
+};
+
 struct RunLog {
   std::vector<double> completions;       // completion time per flow (spec order)
+  std::vector<int> succeeded;            // transfer result per flow (spec order)
   std::vector<double> rate_samples;      // flow_rate(src,dst) probes
+  double traffic = 0.0;                  // bytes counted (crashes uncount)
   std::uint64_t recomputes = 0;
   std::uint64_t touched = 0;
   std::uint64_t escalations = 0;
+  std::uint64_t live_scans = 0;
 };
 
-sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at,
+sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at, int* ok,
                    sim::Simulator* s) {
-  co_await net->transfer(f->src, f->dst, f->bytes, TrafficClass::kMemory, f->cap);
+  *ok = co_await net->transfer(f->src, f->dst, f->bytes, TrafficClass::kMemory, f->cap);
   *done_at = s->now();
 }
 
 RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
-                    bool incremental) {
+                    bool incremental, const std::vector<FaultSpec>& faults = {}) {
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9});
   net.set_incremental(incremental);
@@ -61,25 +76,44 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
 
   RunLog log;
   log.completions.assign(flows.size(), -1.0);
+  log.succeeded.assign(flows.size(), -1);
   // Scenario context behind one pointer: schedule callbacks must fit
   // SmallFn's two-word capture budget.
   struct Ctx {
     sim::Simulator& s;
     FlowNetwork& net;
     const std::vector<FlowSpec>& flows;
+    const std::vector<FaultSpec>& faults;
     const std::vector<NodeId>& nodes;
     RunLog& log;
     void launch(std::size_t i) {
-      s.spawn(run_flow(&net, &flows[i], &log.completions[i], &s));
+      s.spawn(run_flow(&net, &flows[i], &log.completions[i], &log.succeeded[i], &s));
+    }
+    void fault(std::size_t i, bool begin) {
+      const FaultSpec& f = faults[i];
+      const NodeId n = nodes[f.node];
+      switch (f.kind) {
+        case FaultKind::kScale: {
+          const double m = begin ? f.factor : 1.0 / f.factor;
+          net.scale_node_capacity(n, m, m);
+          break;
+        }
+        case FaultKind::kFlap: net.set_link_flapped(n, begin); break;
+        case FaultKind::kCrash: net.set_node_up(n, !begin); break;
+      }
     }
     void probe() {
       for (NodeId a = 0; a < nodes.size(); ++a)
         for (NodeId b = 0; b < nodes.size(); ++b)
           if (a != b) log.rate_samples.push_back(net.flow_rate(a, b));
     }
-  } ctx{s, net, flows, nodes, log};
+  } ctx{s, net, flows, faults, nodes, log};
   for (std::size_t i = 0; i < flows.size(); ++i) {
     s.schedule(flows[i].start, [c = &ctx, i] { c->launch(i); });
+  }
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    s.schedule(faults[i].start, [c = &ctx, i] { c->fault(i, true); });
+    s.schedule(faults[i].start + faults[i].dur, [c = &ctx, i] { c->fault(i, false); });
   }
   // Probe the full pair-rate matrix at fixed virtual times: these reads hit
   // the cached rates of clean components, which is exactly what must be
@@ -91,6 +125,8 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
   log.recomputes = net.recompute_count();
   log.touched = net.touched_flow_count();
   log.escalations = net.escalation_count();
+  log.live_scans = net.live_scan_count();
+  log.traffic = net.total_traffic_bytes();
   EXPECT_EQ(net.active_flows(), 0u);
   return log;
 }
@@ -115,10 +151,31 @@ std::vector<FlowSpec> random_flows(std::size_t n_flows, std::size_t n_nodes,
   return flows;
 }
 
+std::vector<FaultSpec> random_faults(std::size_t n_faults, std::size_t n_nodes,
+                                     std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<FaultSpec> faults;
+  for (std::size_t i = 0; i < n_faults; ++i) {
+    FaultSpec f;
+    // On the flows' quarter-second grid, so faults share instants with
+    // arrivals, completions and each other.
+    f.start = 0.25 * static_cast<double>(rng.uniform(24));
+    f.dur = 0.25 * static_cast<double>(1 + rng.uniform(8));
+    f.node = static_cast<NodeId>(rng.uniform(n_nodes));
+    f.kind = static_cast<FaultKind>(rng.uniform(3));
+    f.factor = rng.uniform_real(0.2, 0.8);
+    faults.push_back(f);
+  }
+  return faults;
+}
+
 void expect_identical(const RunLog& inc, const RunLog& full) {
   ASSERT_EQ(inc.completions.size(), full.completions.size());
-  for (std::size_t i = 0; i < inc.completions.size(); ++i)
+  for (std::size_t i = 0; i < inc.completions.size(); ++i) {
     EXPECT_EQ(inc.completions[i], full.completions[i]) << "flow " << i;
+    EXPECT_EQ(inc.succeeded[i], full.succeeded[i]) << "flow " << i;
+  }
+  EXPECT_EQ(inc.traffic, full.traffic);
   ASSERT_EQ(inc.rate_samples.size(), full.rate_samples.size());
   for (std::size_t i = 0; i < inc.rate_samples.size(); ++i)
     EXPECT_EQ(inc.rate_samples[i], full.rate_samples[i]) << "sample " << i;
@@ -142,7 +199,56 @@ TEST(IncrementalSolver, EquivalentOnFlatTopology) {
     expect_identical(inc, full);
     // The flat runs decompose well: incremental must do strictly less work.
     EXPECT_LT(inc.touched, full.touched) << "seed " << seed;
+    // The fabric is finite, so every epoch that re-solves a flow runs the
+    // phase-4 usage pass over all live flows.
+    EXPECT_GT(inc.live_scans, 1u) << "seed " << seed;
   }
+}
+
+TEST(IncrementalSolver, EquivalentOnNonBlockingCore) {
+  // No finite shared constraint at all: phase 4 cannot escalate and is
+  // skipped, so an incremental epoch touches only its dirty region.
+  const Topology topo = flat_topology(16, kUnlimitedRate);
+  for (std::uint64_t seed = 51; seed <= 53; ++seed) {
+    const auto flows = random_flows(150, topo.nic.size(), true, seed);
+    const RunLog inc = run_scenario(topo, flows, true);
+    const RunLog full = run_scenario(topo, flows, false);
+    expect_identical(inc, full);
+    EXPECT_EQ(inc.escalations, 0u);
+    // Only the first epoch walks every live flow: it is the one that sees
+    // the topology for the first time. The full solve walks once per epoch.
+    EXPECT_EQ(inc.live_scans, 1u) << "seed " << seed;
+    EXPECT_EQ(full.live_scans, full.recomputes) << "seed " << seed;
+  }
+}
+
+// Capacity changes dirty components without any flow arriving; crashes
+// depart flows mid-epoch through the inline fail-and-resolve path; flaps
+// stall and resume whole components. All must re-settle byte-identically
+// in both regimes, on every topology shape.
+TEST(IncrementalSolver, EquivalentUnderFaultChurn) {
+  Topology oversub;
+  oversub.uplinks = {120e6, 120e6, 120e6, 120e6};
+  oversub.nic.assign(16, 100e6);
+  oversub.node_group.resize(16);
+  for (std::size_t i = 0; i < 16; ++i) oversub.node_group[i] = static_cast<SwitchGroupId>(i / 4);
+  const Topology topos[] = {flat_topology(16, kUnlimitedRate), flat_topology(16),
+                            flat_topology(16, /*fabric=*/250e6), oversub};
+  std::uint64_t seed = 61;
+  std::size_t failed = 0;
+  for (const Topology& topo : topos) {
+    for (int rep = 0; rep < 3; ++rep, ++seed) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed);
+      const auto flows = random_flows(120, topo.nic.size(), true, seed);
+      const auto faults = random_faults(14, topo.nic.size(), seed + 1000);
+      const RunLog inc = run_scenario(topo, flows, true, faults);
+      const RunLog full = run_scenario(topo, flows, false, faults);
+      expect_identical(inc, full);
+      if (topo.fabric == kUnlimitedRate) EXPECT_EQ(inc.live_scans, 1u);
+      for (const int ok : inc.succeeded) failed += ok == 0;
+    }
+  }
+  EXPECT_GT(failed, 0u);  // the crash-departure path was exercised
 }
 
 TEST(IncrementalSolver, EquivalentUnderSaturatedFabric) {

@@ -70,6 +70,10 @@ void usage() {
       "                      auto = min(components, worker threads available))\n"
       "  --explain-shards    print the shard plan (count, per-shard VM loads,\n"
       "                      coupling reason) for this config and exit\n"
+      "  --solver=incremental|full\n"
+      "                      max-min solver regime (default incremental; full\n"
+      "                      re-solves every component each epoch and must\n"
+      "                      give a byte-identical timeline)\n"
       "  --seed=N            RNG seed (default 42)\n"
       "  --baseline          disable migrations (reference run)\n"
       "  --list              print the approach summary (paper Table 1)\n";
@@ -215,6 +219,14 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--audit") == 0) {
       cfg.audit = true;
+      continue;
+    }
+    if (auto v = arg_value(arg, "--solver")) {
+      if (*v != "incremental" && *v != "full") {
+        std::cerr << "--solver expects incremental or full\n";
+        return 2;
+      }
+      cfg.cluster.network.incremental = *v == "incremental";
       continue;
     }
     if (auto v = arg_value(arg, "--seed")) { cfg.seed = std::stoull(*v); continue; }
