@@ -194,8 +194,7 @@ void BM_IncrementalSolveChurn(benchmark::State& state) {
   std::uint64_t resolved = 0, epochs = 0;
   for (auto _ : state) {
     sim::Simulator s;
-    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, 8e9});
-    net.set_incremental(incremental);
+    net::FlowNetwork net(s, net::FlowNetworkConfig{net::kUnlimitedRate, 0.0, 8e9, incremental});
     std::vector<net::NodeId> src, dst;
     for (int p = 0; p < kPairs; ++p) {
       src.push_back(net.add_node(117.5e6));

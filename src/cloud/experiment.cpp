@@ -563,7 +563,8 @@ ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
 
   // The mirror is built from the same FlowNetworkConfig as every shard
   // replica, so its incremental/full-solve regime
-  // (FlowNetworkConfig::incremental) resolves identically — both regimes stay byte-identical to shards=1.
+  // (FlowNetworkConfig::incremental) resolves identically — both regimes
+  // stay byte-identical to shards=1.
   net::CoupledCoordinator coord(n, cfg_.cluster.network);
   wire_mirror_topology(coord.mirror(), cfg_.cluster);
 

@@ -12,12 +12,6 @@ namespace {
 constexpr double kEpsBytes = 1e-3;   // flows below this are complete
 constexpr double kEpsRate = 1.0;     // rates below 1 B/s are "saturated"
 
-// Phase 1 gathers the dirty region by walking member lists and sorting while
-// it is small next to the live set. From a quarter of the live flows on, one
-// slot-order pass over the live bitmap costs less (no sort, no pointer
-// chasing) and yields the same flows in the same order.
-constexpr std::size_t kGatherRatio = 4;
-
 bool flow_is_done(double remaining, double rate) noexcept {
   return remaining <= kEpsBytes || (rate > kEpsRate && remaining / rate < 1e-9);
 }
@@ -38,7 +32,7 @@ const char* traffic_class_name(TrafficClass cls) noexcept {
 }
 
 FlowNetwork::FlowNetwork(sim::Simulator& sim, FlowNetworkConfig cfg)
-    : sim_(sim), cfg_(cfg), incremental_(cfg.incremental) {
+    : sim_(sim), cfg_(cfg) {
   groups_.push_back(Group{kUnlimitedRate});  // group 0: flat network default
   pair_rates_.reserve(64);
 }
@@ -568,9 +562,7 @@ void FlowNetwork::run_fill(std::size_t first_item, std::size_t n_items) {
 // member lists and sort them, so the epoch pays for the dirty region, not for
 // every live flow; detaching in ascending slot order keeps component
 // releases — and with them the free list and every later component id —
-// exactly as a slot-order scan would leave them. A dirty region of at least
-// a quarter of the live flows is collected by that scan instead, which then
-// costs O(dirty) too.
+// exactly as a slot-order scan would leave them.
 bool FlowNetwork::collect_affected(bool topo_changed) {
   items_.clear();
   bool any_split_risk = false;
@@ -583,20 +575,16 @@ bool FlowNetwork::collect_affected(bool topo_changed) {
   };
   // Every live flow is affected when ablated off, or after a topology change
   // shifted the incidence ids (recomputed here with the shared counts).
-  const bool all = !incremental_ || topo_changed;
-  std::size_t candidates = arrivals_.size();
-  for (const std::uint32_t id : dirty_comps_)
-    if (comps_[id].in_use) candidates += comps_[id].count;
-  if (all || candidates * kGatherRatio >= live_flows_) {
-    if (all) ++live_scans_;
+  if (!cfg_.incremental || topo_changed) {
+    ++live_scans_;
     live_bits_.for_each_set([&](std::uint64_t s) {
       const std::uint32_t slot = static_cast<std::uint32_t>(s);
-      FlowSlot& fs = flow_slots_[slot];
       if (topo_changed) {
+        FlowSlot& fs = flow_slots_[slot];
         compute_incidence(fs);
         for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
       }
-      if (all || fs.comp == kNilIndex || comps_[fs.comp].dirty) collect(slot);
+      collect(slot);
     });
     return any_split_risk;
   }
@@ -666,7 +654,7 @@ void FlowNetwork::solve_epoch() {
     // resulting partition, group numbering and item order are identical to
     // the item-level rebuild below (see the header's membership fast path
     // invariant).
-    const bool merge_only = incremental_ && !topo_changed && !any_split_risk;
+    const bool merge_only = cfg_.incremental && !topo_changed && !any_split_risk;
     if (merge_only) {
       ++membership_fast_epochs_;
       if (comp_map_epoch_.size() < comps_.size()) {

@@ -65,12 +65,8 @@
 //     components are skipped; the survivors are detached in ascending slot
 //     order, exactly the order a full slot-order scan would use, so item
 //     order, groups, component ids and the component free list are the
-//     same. When the dirty region holds at least a quarter of the live
-//     flows (one big component, an escalated mega-component), a slot-order
-//     scan of the live bitmap is cheaper than walking and sorting it and
-//     collects the same flows; that scan is O(dirty) as well. Only the
-//     full-solve ablation and a topology change walk every live flow
-//     regardless. Both lists are cleared at the end of the epoch,
+//     same. Only the full-solve ablation and a topology change walk every
+//     live flow instead. Both lists are cleared at the end of the epoch,
 //     when no live component is dirty any more.
 //  2. Dirty components are re-partitioned and water-filled ignoring
 //     non-contained shared constraints; clean components keep their CACHED
@@ -427,16 +423,10 @@ class FlowNetwork {
   std::size_t component_count() const noexcept { return live_components_; }
   /// Walks over every live flow made by settle epochs (the phase-1 scan of
   /// a full solve or a topology change, the phase-4 shared-usage pass, the
-  /// escalation collect). A phase-1 scan taken because the dirty region is
-  /// at least a quarter of the live flows costs O(dirty) and is not counted.
-  /// Incremental epochs on a network without a finite shared constraint
-  /// make none; tests assert it.
+  /// escalation collect). Incremental epochs on a network without a finite
+  /// shared constraint make none; tests assert it.
   std::uint64_t live_scan_count() const noexcept { return live_scans_; }
-  bool incremental_enabled() const noexcept { return incremental_; }
-  /// Ablation toggle (FlowNetworkConfig::incremental at construction): off
-  /// re-solves every component each epoch. Rates are byte-identical either
-  /// way; only the work counters differ.
-  void set_incremental(bool on) noexcept { incremental_ = on; }
+  bool incremental_enabled() const noexcept { return cfg_.incremental; }
 
   // --- epoch-coupled sharding ----------------------------------------------
   // Two auxiliary modes back the epoch-coupled shard executor (see
@@ -691,8 +681,6 @@ class FlowNetwork {
     std::uint32_t count = 0;
   };
   std::unordered_map<std::uint64_t, PairRate> pair_rates_;
-
-  bool incremental_ = true;
 
   // Epoch-coupled sharding state (see the public section above).
   bool coupled_ = false;   // shard mode: record deltas instead of solving

@@ -63,8 +63,7 @@ sim::Task run_flow(FlowNetwork* net, const FlowSpec* f, double* done_at, int* ok
 RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
                     bool incremental, const std::vector<FaultSpec>& faults = {}) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9});
-  net.set_incremental(incremental);
+  FlowNetwork net(s, FlowNetworkConfig{topo.fabric, 0.0, 8e9, incremental});
   std::vector<SwitchGroupId> groups;
   for (double up : topo.uplinks) groups.push_back(net.add_switch_group(up));
   std::vector<NodeId> nodes;
@@ -307,8 +306,8 @@ sim::Task xfer(FlowNetwork* net, NodeId a, NodeId b, double bytes) {
 
 TEST(IncrementalSolver, DisjointArrivalTouchesOnlyItsComponent) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
-  net.set_incremental(true);  // the counters below assert incremental mode
+  // The counters below assert incremental mode (the config default).
+  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9, true});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   s.spawn(xfer(&net, a, b, 500e6));
@@ -332,8 +331,7 @@ TEST(IncrementalSolver, DisjointArrivalTouchesOnlyItsComponent) {
 
 TEST(IncrementalSolver, SharedEndpointMergesComponents) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
-  net.set_incremental(true);
+  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9, true});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6);
   s.spawn(xfer(&net, a, b, 800e6));
@@ -356,8 +354,7 @@ TEST(IncrementalSolver, SharedEndpointMergesComponents) {
 
 TEST(IncrementalSolver, DepartureSplitsComponent) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9});
-  net.set_incremental(true);
+  FlowNetwork net(s, FlowNetworkConfig{1e12, 0.0, 8e9, true});
   const NodeId a = net.add_node(100e6), b = net.add_node(100e6);
   const NodeId c = net.add_node(100e6), d = net.add_node(100e6);
   // a->c and b->c share ingress(c); b->d and b->c share egress(b): one

@@ -118,8 +118,7 @@ struct FastPathLog {
 FastPathLog run_arrivals(const std::vector<double>& starts, double bytes,
                          bool incremental) {
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9});
-  net.set_incremental(incremental);
+  FlowNetwork net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9, incremental});
   std::vector<NodeId> nodes;
   for (std::size_t i = 0; i < 2 * starts.size(); ++i) nodes.push_back(net.add_node(100e6));
 
@@ -173,8 +172,7 @@ TEST(MembershipFastPath, DepartureEpochsRebuild) {
   // completing) collect the split-risk survivor A and must rebuild. Exact
   // count: 2 fast epochs, no more.
   sim::Simulator s;
-  FlowNetwork net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9});
-  net.set_incremental(true);
+  FlowNetwork net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9, true});
   const NodeId n0 = net.add_node(100e6);
   const NodeId n1 = net.add_node(100e6);
   const NodeId n2 = net.add_node(100e6);

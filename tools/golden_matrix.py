@@ -8,12 +8,11 @@ writes its stdout to <out>/<name>.json, and is diffed against
 tests/golden/<golden> by tools/check_sweep_golden.py <flags...>. A run that
 exits non-zero (an error row or an audit violation) fails its entry too.
 
-Usage: golden_matrix.py --build-dir DIR [--tier1] [--out DIR] [-j N] [NAME...]
+Usage: golden_matrix.py --build-dir DIR [--tier1] [--out DIR]
   --tier1   only the entries marked tier1 (the fast subset ctest runs)
   --out     where the fresh sweep JSONs go (default: a temporary directory)
-  -j        concurrent sweep processes (default 2)
-  NAME...   only these entries
-Exit status 0 iff every selected entry ran cleanly and matched its golden.
+Two sweeps run at a time. Exit status 0 iff every selected entry ran cleanly
+and matched its golden.
 """
 import argparse
 import json
@@ -28,6 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 CHECKER = os.path.join(HERE, "check_sweep_golden.py")
+CONCURRENCY = 2  # sweep processes at a time
 
 
 def run_entry(entry, build_dir, out_dir):
@@ -62,19 +62,11 @@ def main():
     ap.add_argument("--build-dir", required=True)
     ap.add_argument("--tier1", action="store_true")
     ap.add_argument("--out")
-    ap.add_argument("-j", type=int, default=2)
-    ap.add_argument("names", nargs="*")
     opts = ap.parse_args()
 
     with open(os.path.join(GOLDEN_DIR, "matrix.json")) as f:
         matrix = json.load(f)
-    known = {e["name"] for e in matrix}
-    unknown = [n for n in opts.names if n not in known]
-    if unknown:
-        print("unknown matrix entries: " + ", ".join(unknown), file=sys.stderr)
-        return 2
-    entries = [e for e in matrix
-               if (not opts.tier1 or e["tier1"]) and (not opts.names or e["name"] in opts.names)]
+    entries = [e for e in matrix if not opts.tier1 or e["tier1"]]
 
     tmp = None
     out_dir = opts.out
@@ -82,7 +74,7 @@ def main():
         tmp = tempfile.TemporaryDirectory(prefix="golden-matrix-")
         out_dir = tmp.name
     os.makedirs(out_dir, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=max(1, opts.j)) as pool:
+    with ThreadPoolExecutor(max_workers=CONCURRENCY) as pool:
         results = list(pool.map(lambda e: run_entry(e, opts.build_dir, out_dir), entries))
     failed = [e["name"] for e, (ok, _) in zip(entries, results) if not ok]
     for _, lines in results:
