@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
-#include <thread>
 
 #include "cloud/auditor.h"
 #include "cloud/fault_injector.h"
 #include "cloud/shard_plan.h"
-#include "net/coupled_solver.h"
 #include "sim/frame_pool.h"
-#include "sim/sharded.h"
+#include "sim/worker_budget.h"
 
 namespace hm::cloud {
 
@@ -74,35 +69,6 @@ struct MigLaunch {
   net::NodeId dst;
 };
 
-/// Replicate vm::Cluster's topology wiring on a bare FlowNetwork, so the
-/// coordinator's mirror gets node ids and switch groups — and therefore
-/// constraint ids — identical to every shard's full cluster replica.
-void wire_mirror_topology(net::FlowNetwork& net, const vm::ClusterConfig& cfg) {
-  for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    net::SwitchGroupId group = 0;
-    if (cfg.nodes_per_switch > 0) {
-      const std::size_t sw = i / cfg.nodes_per_switch;
-      while (net.switch_group_count() <= sw + 1)
-        net.add_switch_group(cfg.switch_uplink_Bps);
-      group = static_cast<net::SwitchGroupId>(sw + 1);  // group 0 stays flat
-    }
-    net.add_node(cfg.nic_Bps, group);
-  }
-}
-
-/// Epoch-coupled driver selection: shard bodies on dedicated threads
-/// rendezvousing on the EpochBarrier, or the same round protocol executed
-/// inline round-robin on the caller (the right choice on a single-core
-/// host, where thread hand-offs per barrier would dominate). Both produce
-/// the identical timeline; HM_COUPLED_DRIVER=threads|seq overrides.
-bool coupled_driver_threads() {
-  if (const char* e = std::getenv("HM_COUPLED_DRIVER")) {
-    if (std::strcmp(e, "threads") == 0) return true;
-    if (std::strcmp(e, "seq") == 0) return false;
-  }
-  return std::thread::hardware_concurrency() > 1;
-}
-
 }  // namespace
 
 struct Experiment::SliceDetail {
@@ -151,7 +117,7 @@ struct Experiment::SliceRuntime {
   std::unique_ptr<Scheduler> scheduler;
 
   SliceRuntime(const ExperimentConfig& cfg_in, const std::vector<std::uint32_t>* owned_in,
-               SliceDetail* detail_in, bool coupled)
+               SliceDetail* detail_in)
       : cfg(cfg_in),
         owned(owned_in),
         detail(detail_in),
@@ -161,10 +127,6 @@ struct Experiment::SliceRuntime {
         recorder(cfg.trace_recorder),
         workload_done(simulator),
         migrations_done(simulator) {
-    // Coupled shards never solve locally; flip the mode before any event
-    // (deploys, workload spawns) can reach the network.
-    if (coupled) cluster.network().set_coupled(true);
-
     const std::size_t n_vms = cfg.num_vms;
     // Global ids of the VMs this slice owns (all of them on the single-shard
     // path). Each shard holds a full cluster replica with the global node
@@ -308,9 +270,6 @@ struct Experiment::SliceRuntime {
     return workload_done.count() == 0 && migrations_done.count() == 0;
   }
 
-  /// The legacy free-running event loop (single-shard and independent-slice
-  /// paths). The epoch-coupled executor drives the simulator itself with
-  /// run_until() instead.
   void run_loop() {
     const auto wall_start = std::chrono::steady_clock::now();
     while (!finished()) {
@@ -415,46 +374,35 @@ struct Experiment::SliceRuntime {
 
 ExperimentResult Experiment::run_slice(const std::vector<std::uint32_t>* owned,
                                        SliceDetail* detail) const {
-  SliceRuntime rt(cfg_, owned, detail, /*coupled=*/false);
+  SliceRuntime rt(cfg_, owned, detail);
   rt.run_loop();
   rt.collect();
   return std::move(rt.res);
 }
-
-namespace {
-
-/// Why a sharded run had to abandon its plan, or empty. Shared by the
-/// independent and epoch-coupled executors' conservative runtime guards.
-/// (Templated over the detail record so this free helper needn't name the
-/// private Experiment::SliceDetail type.)
-template <class Detail>
-std::string runtime_guard_reason(const std::vector<ExperimentResult>& parts,
-                                 const std::vector<Detail>& details) {
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    if (!parts[s].error.empty()) return "runtime guard: slice error: " + parts[s].error;
-    if (!parts[s].completed) return "runtime guard: max_sim_time truncation";
-    if (details[s].repo_chunks_served > 0)
-      return "runtime guard: repository stripe served cross-shard traffic";
-  }
-  return {};
-}
-
-}  // namespace
 
 ExperimentResult Experiment::run_sharded(const ShardPlan& plan) const {
   const auto wall_start = std::chrono::steady_clock::now();
   const std::uint32_t n = plan.shard_count();
   std::vector<ExperimentResult> parts(n);
   std::vector<SliceDetail> details(n);
-  sim::ShardedSimulator shards(n);
-  shards.run([&](std::uint32_t s) { parts[s] = run_slice(&plan.slices[s], &details[s]); });
+  sim::run_shards(n, [&](std::uint32_t s) {
+    parts[s] = run_slice(&plan.slices[s], &details[s]);
+  });
 
   // Conservative runtime guards: anything a slice cannot prove independent
   // (a repository fetch from a stripe another shard owns, a max_sim_time
   // truncation whose cut point depends on the global interleave, any error
   // whose text mentions global state) reruns single-shard. Correctness is
   // never traded for wall-clock.
-  std::string guard = runtime_guard_reason(parts, details);
+  std::string guard;
+  for (std::uint32_t s = 0; s < n && guard.empty(); ++s) {
+    if (!parts[s].error.empty())
+      guard = "runtime guard: slice error: " + parts[s].error;
+    else if (!parts[s].completed)
+      guard = "runtime guard: max_sim_time truncation";
+    else if (details[s].repo_chunks_served > 0)
+      guard = "runtime guard: repository stripe served cross-shard traffic";
+  }
   if (!guard.empty()) {
     ExperimentResult res = run_slice(nullptr, nullptr);
     res.shards_used = 1;
@@ -556,194 +504,14 @@ ExperimentResult Experiment::merge_parts(std::vector<ExperimentResult>& parts,
   return res;
 }
 
-ExperimentResult Experiment::run_epoch_coupled(const ShardPlan& plan) const {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint32_t n = plan.shard_count();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // The mirror is built from the same FlowNetworkConfig as every shard
-  // replica, so its incremental/full-solve regime
-  // (FlowNetworkConfig::incremental) resolves identically — both regimes
-  // stay byte-identical to shards=1.
-  net::CoupledCoordinator coord(n, cfg_.cluster.network);
-  wire_mirror_topology(coord.mirror(), cfg_.cluster);
-
-  std::vector<ExperimentResult> parts(n);
-  std::vector<SliceDetail> details(n);
-  sim::ShardedSimulator shards(n);
-
-  // Per-round state, written by the shards in their private lanes and
-  // reduced single-threadedly while every shard is parked at the barrier.
-  struct RoundState {
-    std::vector<double> t_next;  // per-shard next event time (+inf = none)
-    std::vector<double> c_next;  // per-shard completion projection (-1 = none)
-    std::vector<char> fin;       // per-shard finished() flag
-    std::vector<net::CoupledCoordinator::ShardDelta> deltas;
-    std::vector<std::vector<std::pair<std::uint32_t, double>>> rates;
-    double t_star = 0.0;
-    bool stop = false;       // exit the round loop after this barrier
-    bool churn = false;      // this round's instant ran at least one solve
-    bool truncated = false;  // max_sim_time guard tripped
-    bool drift = false;      // demand-message cross-check failed
-    bool phase_b = false;    // which reduce the next barrier runs (threads)
-  } rs;
-  rs.t_next.assign(n, kInf);
-  rs.c_next.assign(n, -1.0);
-  rs.fin.assign(n, 0);
-  rs.deltas.resize(n);
-  rs.rates.resize(n);
-
-  // Phase A reduce: pick the next global event instant, fold the completion
-  // projections into the coordinator's virtual completion timer, decide
-  // whether the run is over. Runs while all shards are parked.
-  auto reduce_a = [&] {
-    bool all_done = true;
-    double t_star = kInf;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (!rs.fin[s]) all_done = false;
-      t_star = std::min(t_star, rs.t_next[s]);
-    }
-    rs.t_star = t_star;
-    if (all_done || t_star == kInf) {
-      // All metrics complete — or no shard has a runnable event, which is
-      // the lockstep analogue of the single-shard `!simulator.step()` break.
-      rs.stop = true;
-      return;
-    }
-    coord.observe(t_star, rs.c_next);
-    if (cfg_.max_sim_time > 0 && t_star > cfg_.max_sim_time) {
-      rs.truncated = true;
-      rs.stop = true;
-    }
-  };
-  // Phase B reduce: fold the demand messages (posted to shard 0, merged and
-  // (t, shard, seq)-sorted by the mailbox), apply the deltas to the mirror
-  // in fixed shard order, solve, and stage the per-shard rate updates.
-  auto reduce_b = [&] {
-    for (auto& r : rs.rates) r.clear();
-    rs.churn = coord.reduce(rs.t_star, rs.deltas, rs.rates) > 0;
-    // Folded AFTER the mirror absorbed the round's deltas: the running
-    // message totals must now equal its live shared-user counts.
-    if (!coord.fold_demand_messages(shards.inbox(0))) {
-      rs.drift = true;
-      rs.stop = true;
-    }
-  };
-
-  // One shard's run phase for instant t_star: process every local event at
-  // (or before) it, then publish the recorded deltas.
-  auto run_instant = [&](std::uint32_t s, SliceRuntime& rt) {
-    auto& net = rt.cluster.network();
-    rt.simulator.run_until(rs.t_star);
-    rs.deltas[s].sync = net.coupled_sync_pending();
-    net.take_coupled_delta(rs.deltas[s].adds, rs.deltas[s].removes, rs.deltas[s].demand);
-    for (const auto& [c, dv] : rs.deltas[s].demand)
-      shards.post(s, 0, rs.t_star, c, dv);
-  };
-  // After the phase B barrier: whenever the mirror solved this instant,
-  // EVERY shard re-applies — even one with no deltas and no staged rates.
-  // The single-shard solver advances all flows at every settle instant, so
-  // a quiet shard must advance (and re-partition its flows' byte integrals)
-  // at exactly the same instants or its completion projections drift in the
-  // low FP bits and byte-coincident events split. A shard that recorded
-  // deltas also needs this to re-arm the completion timer its removals
-  // killed, even when its rate list came back empty.
-  auto apply_round = [&](std::uint32_t s, SliceRuntime& rt) {
-    if (rs.churn || rs.deltas[s].sync || !rs.rates[s].empty())
-      rt.cluster.network().apply_external_rates(rs.rates[s]);
-  };
-  auto publish_phase_a = [&](std::uint32_t s, SliceRuntime& rt) {
-    rs.t_next[s] = rt.simulator.next_event_time();
-    rs.c_next[s] = rt.cluster.network().next_completion_time();
-    rs.fin[s] = rt.finished() ? 1 : 0;
-  };
-  auto finish_slice = [&](std::uint32_t s, SliceRuntime& rt) {
-    if (rs.truncated) rt.res.completed = false;
-    rt.collect();
-    parts[s] = std::move(rt.res);
-  };
-
-  if (coupled_driver_threads()) {
-    // Two barrier epochs per round; the hook alternates the reduces (the
-    // toggle is flipped under the barrier, with every shard parked).
-    shards.set_reduce_hook([&](std::uint64_t) {
-      if (!rs.phase_b)
-        reduce_a();
-      else
-        reduce_b();
-      rs.phase_b = !rs.phase_b;
-    });
-    shards.run_epochs([&](std::uint32_t s) {
-      SliceRuntime rt(cfg_, &plan.slices[s], &details[s], /*coupled=*/true);
-      for (;;) {
-        publish_phase_a(s, rt);
-        shards.barrier().arrive_and_wait();  // runs reduce_a
-        if (rs.stop) break;
-        run_instant(s, rt);
-        shards.barrier().arrive_and_wait();  // runs reduce_b
-        if (rs.stop) break;
-        apply_round(s, rt);
-      }
-      finish_slice(s, rt);
-    });
-  } else {
-    // Inline round-robin driver: the identical protocol on one thread (the
-    // right shape for a single-core host, where per-barrier thread
-    // hand-offs would dominate the wall-clock).
-    std::vector<std::unique_ptr<SliceRuntime>> rts;
-    rts.reserve(n);
-    for (std::uint32_t s = 0; s < n; ++s)
-      rts.push_back(std::make_unique<SliceRuntime>(cfg_, &plan.slices[s], &details[s],
-                                                   /*coupled=*/true));
-    for (;;) {
-      for (std::uint32_t s = 0; s < n; ++s) publish_phase_a(s, *rts[s]);
-      reduce_a();
-      if (rs.stop) break;
-      for (std::uint32_t s = 0; s < n; ++s) run_instant(s, *rts[s]);
-      shards.merge_now();
-      reduce_b();
-      if (rs.stop) break;
-      for (std::uint32_t s = 0; s < n; ++s) apply_round(s, *rts[s]);
-    }
-    for (std::uint32_t s = 0; s < n; ++s) finish_slice(s, *rts[s]);
-  }
-
-  // Conservative runtime guards, as in run_sharded — plus the coupled
-  // protocol's own consistency cross-check. Correctness is never traded for
-  // wall-clock: any doubt reruns the exact single-shard path.
-  std::string guard = rs.drift ? std::string("runtime guard: shard demand drift")
-                               : runtime_guard_reason(parts, details);
-  if (!guard.empty()) {
-    ExperimentResult res = run_slice(nullptr, nullptr);
-    res.shards_used = 1;
-    res.shard_fallback_reason = std::move(guard);
-    return res;
-  }
-
-  ExperimentResult res = merge_parts(parts, details);
-  // The solver ran in the coordinator's mirror — its work counters ARE the
-  // single-shard ones; the per-shard replicas never solved (their counters,
-  // summed by the merge, are zero).
-  res.engine_recomputes = coord.mirror().recompute_count();
-  res.engine_components = coord.mirror().solved_component_count();
-  res.engine_flows_resolved = coord.mirror().touched_flow_count();
-  res.engine_escalations = coord.mirror().escalation_count();
-  res.shards_used = n;
-  res.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
-  return res;
-}
-
 ExperimentResult Experiment::run() {
   const ShardPlan plan = plan_shards(cfg_);
-  if (plan.kind == PlanKind::kSingle || plan.shard_count() <= 1) {
+  if (plan.shard_count() <= 1) {
     ExperimentResult res = run_slice(nullptr, nullptr);
     res.shards_used = 1;
-    res.shard_fallback_reason = plan.coupled_reason;
+    res.shard_fallback_reason = plan.collapse_reason;
     return res;
   }
-  if (plan.kind == PlanKind::kEpochCoupled) return run_epoch_coupled(plan);
   return run_sharded(plan);
 }
 

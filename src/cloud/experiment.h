@@ -88,13 +88,11 @@ struct ExperimentConfig {
   /// Simulator shards for this one experiment (parallel in-process). The
   /// deterministic partitioner (cloud/shard_plan.h) decomposes the VM fleet
   /// into constraint-graph components and runs them on worker threads drawn
-  /// from sim::WorkerBudget. Finite shared *network* constraints (fabric
-  /// aggregate, switch uplinks) no longer collapse the plan: those regimes
-  /// run epoch-coupled, with a central mirror solver arbitrating the shared
-  /// constraints at every settle epoch. Hard couplers (CM1/IOR, faults,
-  /// PVFS, trace recording, non-broadcast replay) still conservatively
-  /// collapse to one shard. Every virtual-time field of the result is
-  /// byte-identical for any shard count — only wall_ms may change.
+  /// from sim::WorkerBudget. Anything that couples the components — a
+  /// finite fabric aggregate or finite switch uplinks, CM1/IOR, non-routable
+  /// faults, PVFS, trace recording, non-broadcast replay — conservatively
+  /// collapses the plan to one shard. Every virtual-time field of the
+  /// result is byte-identical for any shard count — only wall_ms may change.
   /// kShardsAuto picks min(component count, workers available) at plan time.
   std::uint32_t shards = 1;
   static constexpr std::uint32_t kShardsAuto = 0xffffffffu;
@@ -196,8 +194,7 @@ class Experiment {
   /// than ExperimentResult's aggregates (accumulation order matters).
   struct SliceDetail;
   /// One slice's live simulation state (simulator, cluster, workloads,
-  /// schedule), factored out of run_slice so the epoch-coupled executor can
-  /// drive the event loop round-by-round instead of to completion.
+  /// schedule): set up on construction, then run_loop() and collect().
   struct SliceRuntime;
 
   /// One simulator slice over the owned VM ids (nullptr = all VMs — the
@@ -205,14 +202,11 @@ class Experiment {
   /// the const config.
   ExperimentResult run_slice(const std::vector<std::uint32_t>* owned,
                              SliceDetail* detail) const;
+  /// Runs the plan's independent slices on parallel shards, then merges them
+  /// (or reruns single-shard when a runtime guard trips).
   ExperimentResult run_sharded(const ShardPlan& plan) const;
-  /// Epoch-coupled executor: slices advance in lockstep over global event
-  /// instants while a mirror FlowNetwork (net/coupled_solver.h) arbitrates
-  /// the finite shared constraints. Merged result is byte-identical to the
-  /// single-shard run in every virtual-time field.
-  ExperimentResult run_epoch_coupled(const ShardPlan& plan) const;
-  /// Deterministic merge of completed slice results (shared by the
-  /// independent and epoch-coupled executors).
+  /// Deterministic merge of completed slice results, replicating the
+  /// single-shard accumulation order.
   ExperimentResult merge_parts(std::vector<ExperimentResult>& parts,
                                std::vector<SliceDetail>& details) const;
 

@@ -11,17 +11,14 @@
 //    all nodes), CM1/IOR workloads (halo exchange / repository reads),
 //    non-broadcast trace replay (absolute VM indices), trace recording
 //    (observes every VM), the invariant auditor (observes every
-//    migration), and non-routable fault regimes — churn processes, seeded
-//    "rand:" draws (one shared RNG stream), and repo-/node-/domain-scoped
-//    events. Scripted plans whose every event resolves inside one
-//    migration's component ARE routable: each slice arms exactly the
-//    events it owns and the merged timeline still matches shards=1.
-//
-//  * Finite *network* constraints no longer collapse the plan: a finite
-//    fabric aggregate or finite switch uplinks yield a kEpochCoupled plan —
-//    the same component partition, but the executor runs it under the
-//    conservative-window protocol where a central mirror solver arbitrates
-//    the shared constraints every settle epoch (net/coupled_solver.h).
+//    migration), the continuous-arrival scheduler, non-routable fault
+//    regimes — churn processes, seeded "rand:" draws (one shared RNG
+//    stream), and repo-/node-/domain-scoped events — and finite shared
+//    network constraints: a finite fabric aggregate or finite switch
+//    uplinks couple every flow crossing them. Scripted fault plans whose
+//    every event resolves inside one migration's component ARE routable:
+//    each slice arms exactly the events it owns and the merged timeline
+//    still matches shards=1.
 //
 //  * Otherwise VMs partition by the connected components of their planned
 //    NIC endpoint sets (home node + migration destination) — the same
@@ -47,28 +44,15 @@
 
 namespace hm::cloud {
 
-/// How the executor must run the plan's slices.
-enum class PlanKind : std::uint8_t {
-  /// One slice, the exact legacy single-shard code path.
-  kSingle,
-  /// Slices are causally independent; run them with zero synchronization.
-  kIndependent,
-  /// Slices share finite network constraints (fabric aggregate / switch
-  /// uplinks); run them under the epoch-coupled conservative-window
-  /// protocol (net/coupled_solver.h).
-  kEpochCoupled,
-};
-
 struct ShardPlan {
   /// Slices that actually run (non-empty, ascending VM ids inside each).
   /// Size 1 means the plan collapsed — the executor takes the exact
-  /// single-shard code path.
+  /// single-shard code path. More than one: the slices are causally
+  /// independent and run with zero synchronization.
   std::vector<std::vector<std::uint32_t>> slices;
-  PlanKind kind = PlanKind::kSingle;
-  /// kSingle: why the plan collapsed to one shard (empty when the config
-  /// never asked for shards). kEpochCoupled: which finite shared constraint
-  /// makes the shards exchange rate caps. Empty for kIndependent.
-  std::string coupled_reason;
+  /// Why the plan collapsed to one shard (empty when the config never asked
+  /// for shards, and whenever the plan has more than one slice).
+  std::string collapse_reason;
   /// Connected components found (0 when coupling was static).
   std::uint32_t components = 0;
 

@@ -180,16 +180,14 @@ void FlowNetwork::dirty_nic_owner(std::uint32_t c) {
 void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
   FlowSlot& fs = flow_slots_[slot];
   Flow& f = fs.flow;
-  if (!mirror_) {
-    auto it = pair_rates_.find(pair_key(f.src, f.dst));
-    if (it != pair_rates_.end()) {
-      if (--it->second.count == 0) {
-        // Keep the node (steady-state re-use of the pair never re-allocates)
-        // but pin the rate to exactly zero, which also resets FP dust.
-        it->second.rate = 0.0;
-      } else {
-        it->second.rate -= f.rate;
-      }
+  auto it = pair_rates_.find(pair_key(f.src, f.dst));
+  if (it != pair_rates_.end()) {
+    if (--it->second.count == 0) {
+      // Keep the node (steady-state re-use of the pair never re-allocates)
+      // but pin the rate to exactly zero, which also resets FP dust.
+      it->second.rate = 0.0;
+    } else {
+      it->second.rate -= f.rate;
     }
   }
   // The departure dirties its component so the survivors get re-solved —
@@ -197,10 +195,8 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
   // table until the next item-level rebuild re-derives the partition.
   if (fs.comp != kNilIndex) comps_[fs.comp].split_risk = true;
   detach_from_component(fs);
-  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) {
+  for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
     if (fs.constraints[k] < shared_users_.size()) --shared_users_[fs.constraints[k]];
-    if (coupled_) coupled_demand_.push_back({fs.constraints[k], -1.0});
-  }
   fs.op = nullptr;
   fs.in_use = false;
   ++fs.gen;
@@ -212,12 +208,6 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
 
 void FlowNetwork::apply_rate(Flow& f, double new_rate, std::uint32_t slot) {
   if (new_rate != f.rate) {
-    if (mirror_) {
-      // The mirror only needs the rate itself: projections, completion
-      // entries and per-pair introspection belong to the shard replicas.
-      f.rate = new_rate;
-      return;
-    }
     auto& pr = pair_rates_[pair_key(f.src, f.dst)];
     pr.rate += new_rate - f.rate;
     f.rate = new_rate;
@@ -293,17 +283,6 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   ++pair_rates_[pair_key(f.src, f.dst)].count;
   ++live_flows_;
   ++flows_started_;
-  if (coupled_) {
-    // Epoch-coupled shard mode: the solve happens in the coordinator's
-    // mirror. Record the arrival and the demand it places on cross-shard
-    // constraints; rates come back through apply_external_rates. Nothing
-    // here ever solves, so the arrival stays off the arrivals list.
-    coupled_adds_.push_back(CoupledAdd{slot, f.src, f.dst, op->bytes, f.cap});
-    for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
-      coupled_demand_.push_back({fs.constraints[k], +1.0});
-    coupled_sync_ = true;
-    return;
-  }
   arrivals_.push_back(slot);
   // Epoch batching: the max-min solve is deferred to a zero-delay settle
   // event, so every other arrival in this virtual instant shares it. The
@@ -898,95 +877,10 @@ void FlowNetwork::on_completion_timer() {
   for (std::uint32_t slot : finished_scratch_) {
     sim_.post([](void* p, void*) { auto* op = static_cast<FlowOp*>(p); op->step(op); },
               flow_slots_[slot].op);
-    if (coupled_) coupled_removes_.push_back(slot);
     release_flow_slot(slot);
-  }
-  if (coupled_) {
-    // Epoch-coupled shard mode: departures defer the solve to the
-    // coordinator's mirror (apply_external_rates re-arms the completion
-    // timer afterwards). A pure stale-purge / FP re-projection pass touches
-    // no cross-shard state and re-arms locally.
-    if (!finished_scratch_.empty())
-      coupled_sync_ = true;
-    else
-      schedule_completion();
-    return;
   }
   solve_epoch();
   schedule_completion();
-}
-
-// --- epoch-coupled sharding --------------------------------------------------
-
-void FlowNetwork::take_coupled_delta(
-    std::vector<CoupledAdd>& adds, std::vector<std::uint32_t>& removes,
-    std::vector<std::pair<std::uint32_t, double>>& demand) {
-  adds.swap(coupled_adds_);
-  coupled_adds_.clear();
-  removes.swap(coupled_removes_);
-  coupled_removes_.clear();
-  demand.clear();
-  if (!coupled_demand_.empty()) {
-    // Aggregate the raw (constraint, ±1) stream into one delta per
-    // constraint, in first-touch order (stamped — no clearing).
-    const std::size_t cspace = constraint_space();
-    if (demand_stamp_.size() < cspace) {
-      demand_stamp_.resize(cspace, 0);
-      demand_val_.resize(cspace, 0.0);
-    }
-    ++demand_gen_;
-    for (const auto& [c, v] : coupled_demand_) {
-      if (demand_stamp_[c] != demand_gen_) {
-        demand_stamp_[c] = demand_gen_;
-        demand_val_[c] = v;
-        demand.push_back({c, 0.0});
-      } else {
-        demand_val_[c] += v;
-      }
-    }
-    for (auto& d : demand) d.second = demand_val_[d.first];
-    coupled_demand_.clear();
-  }
-  coupled_sync_ = false;
-}
-
-void FlowNetwork::apply_external_rates(
-    const std::vector<std::pair<std::uint32_t, double>>& rates) {
-  advance_to_now();
-  for (const auto& [slot, rate] : rates)
-    apply_rate(flow_slots_[slot].flow, rate, slot);
-  schedule_completion();
-}
-
-std::uint32_t FlowNetwork::mirror_add_flow(NodeId src, NodeId dst, double bytes,
-                                           double cap) {
-  // begin_flow's solver-relevant middle: slot setup, incidence, shared-user
-  // counts, NIC-owner dirtying. No traffic, no op, no settle, no pair rates.
-  const std::uint32_t slot = alloc_flow_slot();
-  FlowSlot& fs = flow_slots_[slot];
-  fs.in_use = true;
-  fs.op = nullptr;
-  live_bits_.set(slot);
-  Flow& f = fs.flow;
-  f.src = src;
-  f.dst = dst;
-  f.remaining = bytes;
-  f.rate = 0.0;
-  f.cap = cap;
-  f.proj = kUnlimitedRate;
-  fs.comp = kNilIndex;  // affected at the next mirror solve
-  compute_incidence(fs);
-  for (std::uint8_t k = 2; k < fs.n_constraints; ++k) ++shared_users_[fs.constraints[k]];
-  for (int k = 0; k < 2; ++k) dirty_nic_owner(fs.constraints[k]);
-  arrivals_.push_back(slot);
-  ++live_flows_;
-  ++flows_started_;
-  return slot;
-}
-
-void FlowNetwork::mirror_remove_flow(std::uint32_t slot) {
-  flow_slots_[slot].flow.proj = -1.0;
-  release_flow_slot(slot);
 }
 
 }  // namespace hm::net

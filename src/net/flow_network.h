@@ -428,64 +428,6 @@ class FlowNetwork {
   std::uint64_t live_scan_count() const noexcept { return live_scans_; }
   bool incremental_enabled() const noexcept { return cfg_.incremental; }
 
-  // --- epoch-coupled sharding ----------------------------------------------
-  // Two auxiliary modes back the epoch-coupled shard executor (see
-  // net/coupled_solver.h). They are duals of one trick: run the ordinary
-  // single-shard solver on the ordinary global state, just split across
-  // objects — so the allocation, the escalation decisions and the solver
-  // counters are the single-shard ones by construction.
-  //  * coupled SHARD mode (set_coupled): this network simulates one shard's
-  //    events but never solves. Arrivals and completions are recorded as
-  //    deltas; the shard driver ships them to the coordinator at the
-  //    settle-epoch barrier and applies back the rates the coordinator's
-  //    mirror solve produced (apply_external_rates).
-  //  * MIRROR mode (set_mirror): this network belongs to the coordinator,
-  //    holds every live flow of the experiment, and runs solve_epoch over
-  //    them exactly as a single-shard run would — but never advances time,
-  //    never projects completions and never steps ops.
-
-  /// One recorded arrival, identified by the shard-local slot id.
-  struct CoupledAdd {
-    std::uint32_t slot;
-    NodeId src, dst;
-    double bytes, cap;
-  };
-
-  void set_coupled(bool on) noexcept { coupled_ = on; }
-  /// True when this shard recorded deltas the coordinator has not seen.
-  bool coupled_sync_pending() const noexcept { return coupled_sync_; }
-  /// Drain this round's recorded deltas: adds in begin order, removals in
-  /// completion order, plus the aggregated per-shared-constraint live-user
-  /// deltas (the demand this shard's churn placed on each cross-shard
-  /// constraint — what travels as ShardMessages).
-  void take_coupled_delta(std::vector<CoupledAdd>& adds,
-                          std::vector<std::uint32_t>& removes,
-                          std::vector<std::pair<std::uint32_t, double>>& demand);
-  /// Apply rates computed by the coordinator's mirror solve: advances flow
-  /// progress to now, applies each (local slot, rate) and re-arms the
-  /// completion timer. Called once per sync round.
-  void apply_external_rates(
-      const std::vector<std::pair<std::uint32_t, double>>& rates);
-  /// Earliest live completion projection this shard tracks (-1 when none).
-  double next_completion_time() const noexcept { return completion_timer_t_; }
-  double latency_s() const noexcept { return cfg_.latency_s; }
-
-  void set_mirror(bool on) noexcept { mirror_ = on; }
-  std::uint32_t mirror_add_flow(NodeId src, NodeId dst, double bytes, double cap);
-  void mirror_remove_flow(std::uint32_t slot);
-  void mirror_solve() { solve_epoch(); }
-  /// Post-solve readback: the flows the last epoch re-rated, in publish
-  /// order (group order, slot-ascending within a group).
-  std::size_t solved_item_count() const noexcept { return items_.size(); }
-  std::pair<std::uint32_t, double> solved_item(std::size_t i) const noexcept {
-    return {items_[i].slot, items_[i].alloc};
-  }
-  /// Live users of a shared constraint (containment bookkeeping); exposed so
-  /// the coordinator can cross-check the ShardMessage demand totals.
-  std::uint32_t shared_user_count(std::uint32_t c) const noexcept {
-    return c < shared_users_.size() ? shared_users_[c] : 0;
-  }
-
  private:
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
 
@@ -682,16 +624,6 @@ class FlowNetwork {
   };
   std::unordered_map<std::uint64_t, PairRate> pair_rates_;
 
-  // Epoch-coupled sharding state (see the public section above).
-  bool coupled_ = false;   // shard mode: record deltas instead of solving
-  bool mirror_ = false;    // mirror mode: solve only; no time, no projections
-  bool coupled_sync_ = false;
-  std::vector<CoupledAdd> coupled_adds_;
-  std::vector<std::uint32_t> coupled_removes_;
-  std::vector<std::pair<std::uint32_t, double>> coupled_demand_;  // raw (c, ±1)
-  std::vector<std::uint64_t> demand_stamp_;  // take_coupled_delta aggregation
-  std::vector<double> demand_val_;
-  std::uint64_t demand_gen_ = 0;
   std::uint64_t recompute_count_ = 0;
   std::uint64_t flows_started_ = 0;
   std::uint64_t solved_components_ = 0;

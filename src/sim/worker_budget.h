@@ -1,10 +1,10 @@
-// Process-global worker-thread budget.
+// Process-global worker-thread budget, and the shard fan-out that draws on it.
 //
 // Two layers of the stack want to spawn threads: cloud::run_sweep fans
-// independent experiments across a pool, and sim::ShardedSimulator fans one
-// experiment's shard slices across workers. Sized independently from
-// hardware_concurrency they multiply (sweep threads x shard workers) and
-// oversubscribe the machine. The budget is a single shared token pool:
+// independent experiments across a pool, and run_shards fans one
+// experiment's independent shard slices across workers. Sized independently
+// from hardware_concurrency they multiply (sweep threads x shard workers)
+// and oversubscribe the machine. The budget is a single shared token pool:
 // every *extra* thread (beyond the caller, which always works for free)
 // must be acquired from it, so sweep-level and shard-level parallelism
 // together never exceed the configured capacity.
@@ -16,6 +16,8 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 
 namespace hm::sim {
 
@@ -78,5 +80,13 @@ class WorkerGrant {
   WorkerBudget& budget_;
   unsigned granted_;
 };
+
+/// Run body(0..shards-1) over independent shard slices. Workers claim shard
+/// indices from a shared counter; the caller always participates, plus up
+/// to (shards-1) threads granted by the process budget. Slices never
+/// communicate, so any number of threads (including just the caller)
+/// produces the same per-shard results. Returns the threads used, caller
+/// included.
+unsigned run_shards(std::uint32_t shards, const std::function<void(std::uint32_t)>& body);
 
 }  // namespace hm::sim

@@ -2,9 +2,9 @@
 // decomposable scenario, the merged result must be BYTE-identical to the
 // single-shard run in every virtual-time field — migration records, traffic
 // by class, workload aggregates, solver work counters — for any shard
-// count, in both solver regimes. Coupled regimes (CM1, faults) and runtime
-// guard trips (max_sim_time truncation) must fall back to one shard
-// transparently. Scheduler-implementation counters (engine_events, frame
+// count, in both solver regimes. Coupled regimes (CM1, faults, a finite
+// fabric or finite uplinks) and runtime guard trips (max_sim_time
+// truncation) must fall back to one shard transparently. Scheduler-implementation counters (engine_events, frame
 // counters) legitimately differ — a finished slice stops stepping at its
 // own last event and frame pools are per-thread — and are the only fields
 // excluded here; see tools/check_sweep_golden.py --shards for the same
@@ -131,19 +131,18 @@ ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {
   return Experiment(std::move(cfg)).run();
 }
 
-TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
+TEST(ShardPlanning, CouplersCollapseWithSpecificReasons) {
   ExperimentConfig base = decomposable_config(true);
   base.shards = 4;
   base.normalize();
   EXPECT_GT(plan_shards(base).shard_count(), 1u);
-  EXPECT_EQ(plan_shards(base).kind, PlanKind::kIndependent);
-  EXPECT_TRUE(plan_shards(base).coupled_reason.empty());
+  EXPECT_TRUE(plan_shards(base).collapse_reason.empty());
 
   auto reason = [](ExperimentConfig cfg) {
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u);
-    return plan.coupled_reason;
+    return plan.collapse_reason;
   };
 
   {
@@ -162,25 +161,15 @@ TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
     EXPECT_FALSE(reason(c).empty());
   }
   {
-    // Finite network constraints no longer collapse the plan: they keep the
-    // component partition and run it epoch-coupled under the mirror solver.
     ExperimentConfig c = base;
     c.cluster.network.fabric_Bps = 8e9;
-    c.normalize();
-    const ShardPlan plan = plan_shards(c);
-    EXPECT_EQ(plan.kind, PlanKind::kEpochCoupled);
-    EXPECT_GT(plan.shard_count(), 1u);
-    EXPECT_FALSE(plan.coupled_reason.empty());
+    EXPECT_EQ(reason(c), "finite fabric aggregate couples all flows");
   }
   {
     ExperimentConfig c = base;
     c.cluster.nodes_per_switch = 4;
-    c.cluster.switch_uplink_Bps = 1e9;  // finite uplinks: also epoch-coupled
-    c.normalize();
-    const ShardPlan plan = plan_shards(c);
-    EXPECT_EQ(plan.kind, PlanKind::kEpochCoupled);
-    EXPECT_GT(plan.shard_count(), 1u);
-    EXPECT_FALSE(plan.coupled_reason.empty());
+    c.cluster.switch_uplink_Bps = 1e9;
+    EXPECT_EQ(reason(c), "finite switch uplinks couple racks");
   }
   {
     ExperimentConfig c = base;
@@ -199,7 +188,7 @@ TEST(ShardPlanning, HardCouplersCollapseNetworkCouplersRunCoupled) {
     c.normalize();
     const ShardPlan plan = plan_shards(c);
     EXPECT_EQ(plan.shard_count(), 1u);
-    EXPECT_EQ(plan.coupled_reason, "single connected component");
+    EXPECT_EQ(plan.collapse_reason, "single connected component");
   }
 }
 
@@ -314,7 +303,7 @@ TEST(ShardFallback, ChurnAndNodeScopedFaultsCollapseWithSpecificReasons) {
     cfg.normalize();
     const ShardPlan plan = plan_shards(cfg);
     EXPECT_EQ(plan.shard_count(), 1u) << spec;
-    return plan.coupled_reason;
+    return plan.collapse_reason;
   };
   EXPECT_EQ(reason_for("churn:crash-mtbf=50,crash-mttr=5"),
             "churn fault process spans every node");
@@ -357,7 +346,7 @@ TEST(ShardFallback, DstScopedEventOnUnusedMigrationCollapses) {
   cfg.normalize();
   const ShardPlan plan = plan_shards(cfg);
   EXPECT_EQ(plan.shard_count(), 1u);
-  EXPECT_EQ(plan.coupled_reason, "scripted fault targets an unused migration destination");
+  EXPECT_EQ(plan.collapse_reason, "scripted fault targets an unused migration destination");
 }
 
 TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
@@ -367,7 +356,25 @@ TEST(ShardFallback, AuditedRunCollapsesToOneShard) {
   cfg.normalize();
   const ShardPlan plan = plan_shards(cfg);
   EXPECT_EQ(plan.shard_count(), 1u);
-  EXPECT_EQ(plan.coupled_reason, "auditor observes every migration");
+  EXPECT_EQ(plan.collapse_reason, "auditor observes every migration");
+}
+
+TEST(ShardFallback, FiniteFabricCollapsesToOneShard) {
+  // The decomposable fleet over a finite 300 MB/s fabric aggregate: every
+  // migration contends through one shared constraint, so the plan must
+  // collapse and the run must be the exact single-shard path.
+  for (bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incremental" : "fullsolve");
+    ExperimentConfig cfg = decomposable_config(incremental);
+    cfg.cluster.network.fabric_Bps = 300e6;
+    const ExperimentResult ref = run_with_shards(cfg, 1);
+    ASSERT_TRUE(ref.completed);
+    ASSERT_EQ(ref.migrations.size(), 8u);
+    const ExperimentResult got = run_with_shards(cfg, 4);
+    EXPECT_EQ(got.shards_used, 1u);
+    EXPECT_EQ(got.shard_fallback_reason, "finite fabric aggregate couples all flows");
+    expect_identical(ref, got, /*exact_epochs=*/true);
+  }
 }
 
 TEST(ShardFallback, Cm1CollapsesToOneShard) {

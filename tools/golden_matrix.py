@@ -35,9 +35,8 @@ def run_entry(entry, build_dir, out_dir):
     exe = os.path.join(build_dir, "bench", entry["binary"])
     fresh = os.path.join(out_dir, entry["name"] + ".json")
     env = dict(os.environ)
-    # The solver regime and the coupled driver come from the entry alone.
+    # The solver regime comes from the entry alone.
     env.pop("ABLATE_INCREMENTAL", None)
-    env.pop("HM_COUPLED_DRIVER", None)
     env.update(entry["env"])
     start = time.monotonic()
     with open(fresh, "w") as out:

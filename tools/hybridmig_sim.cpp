@@ -69,7 +69,7 @@ void usage() {
       "                      byte-identical virtual timeline for any value;\n"
       "                      auto = min(components, worker threads available))\n"
       "  --explain-shards    print the shard plan (count, per-shard VM loads,\n"
-      "                      coupling reason) for this config and exit\n"
+      "                      collapse reason) for this config and exit\n"
       "  --solver=incremental|full\n"
       "                      max-min solver regime (default incremental; full\n"
       "                      re-solves every component each epoch and must\n"
@@ -321,19 +321,13 @@ int main(int argc, char** argv) {
     cloud::ExperimentConfig planned = cfg;
     planned.normalize();
     const cloud::ShardPlan plan = cloud::plan_shards(planned);
-    const char* kind = plan.kind == cloud::PlanKind::kSingle        ? "single"
-                       : plan.kind == cloud::PlanKind::kIndependent ? "independent"
-                                                                    : "epoch-coupled";
     std::cout << "shard plan: " << plan.shard_count() << " shard"
-              << (plan.shard_count() == 1 ? "" : "s") << " (" << kind << ")";
+              << (plan.shard_count() == 1 ? " (single)" : "s (independent)");
     if (plan.components > 0) std::cout << ", " << plan.components << " components";
     std::cout << "\n";
     for (std::uint32_t s = 0; s < plan.shard_count(); ++s)
       std::cout << "  shard " << s << ": " << plan.slices[s].size() << " VMs\n";
-    if (!plan.coupled_reason.empty())
-      std::cout << (plan.kind == cloud::PlanKind::kEpochCoupled ? "coupling: "
-                                                                : "collapse: ")
-                << plan.coupled_reason << "\n";
+    if (!plan.collapse_reason.empty()) std::cout << "collapse: " << plan.collapse_reason << "\n";
     return 0;
   }
 
