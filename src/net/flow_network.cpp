@@ -34,7 +34,6 @@ const char* traffic_class_name(TrafficClass cls) noexcept {
 FlowNetwork::FlowNetwork(sim::Simulator& sim, FlowNetworkConfig cfg)
     : sim_(sim), cfg_(cfg) {
   groups_.push_back(Group{kUnlimitedRate});  // group 0: flat network default
-  pair_rates_.reserve(64);
 }
 
 SwitchGroupId FlowNetwork::add_switch_group(double uplink_Bps) {
@@ -61,8 +60,12 @@ void FlowNetwork::reset_traffic() noexcept {
 }
 
 double FlowNetwork::flow_rate(NodeId src, NodeId dst) const noexcept {
-  const auto it = pair_rates_.find(pair_key(src, dst));
-  return it == pair_rates_.end() ? 0.0 : it->second.rate;
+  double sum = 0.0;
+  live_bits_.for_each_set([&](std::uint64_t s) {
+    const Flow& f = flow_slots_[s].flow;
+    if (f.src == src && f.dst == dst) sum += f.rate;
+  });
+  return sum;
 }
 
 double FlowNetwork::current_rate_sum() const noexcept {
@@ -106,7 +109,6 @@ void FlowNetwork::compute_incidence(FlowSlot& fs) noexcept {
   const std::size_t n = nodes_.size();
   const std::size_t g = groups_.size();
   const Flow& f = fs.flow;
-  fs.arena_bound_gen = 0;  // constraint set changed: stale arena indices
   // Local constraints first (component partitioning only looks at [0], [1]).
   fs.n_constraints = 0;
   fs.constraints[fs.n_constraints++] = f.src;
@@ -137,7 +139,6 @@ std::uint32_t FlowNetwork::alloc_component() {
   ++c.gen;  // invalidates NIC-owner entries from previous occupants
   c.dirty = false;
   c.in_use = true;
-  c.split_risk = false;
   ++live_components_;
   return id;
 }
@@ -179,21 +180,7 @@ void FlowNetwork::dirty_nic_owner(std::uint32_t c) {
 
 void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
   FlowSlot& fs = flow_slots_[slot];
-  Flow& f = fs.flow;
-  auto it = pair_rates_.find(pair_key(f.src, f.dst));
-  if (it != pair_rates_.end()) {
-    if (--it->second.count == 0) {
-      // Keep the node (steady-state re-use of the pair never re-allocates)
-      // but pin the rate to exactly zero, which also resets FP dust.
-      it->second.rate = 0.0;
-    } else {
-      it->second.rate -= f.rate;
-    }
-  }
-  // The departure dirties its component so the survivors get re-solved —
-  // and may split it, so the merge-only membership fast path is off the
-  // table until the next item-level rebuild re-derives the partition.
-  if (fs.comp != kNilIndex) comps_[fs.comp].split_risk = true;
+  // The departure dirties its component so the survivors get re-solved.
   detach_from_component(fs);
   for (std::uint8_t k = 2; k < fs.n_constraints; ++k)
     if (fs.constraints[k] < shared_users_.size()) --shared_users_[fs.constraints[k]];
@@ -208,8 +195,6 @@ void FlowNetwork::release_flow_slot(std::uint32_t slot) noexcept {
 
 void FlowNetwork::apply_rate(Flow& f, double new_rate, std::uint32_t slot) {
   if (new_rate != f.rate) {
-    auto& pr = pair_rates_[pair_key(f.src, f.dst)];
-    pr.rate += new_rate - f.rate;
     f.rate = new_rate;
     push_projection(f, slot);
   }
@@ -280,7 +265,6 @@ void FlowNetwork::begin_flow(FlowOp* op) {
   // The arrival can merge with any component reachable through its
   // endpoints: dirty whatever currently owns those NIC constraints.
   for (int k = 0; k < 2; ++k) dirty_nic_owner(fs.constraints[k]);
-  ++pair_rates_[pair_key(f.src, f.dst)].count;
   ++live_flows_;
   ++flows_started_;
   arrivals_.push_back(slot);
@@ -379,8 +363,7 @@ void FlowNetwork::advance_to_now() {
 // [first_item, first_item + n_items)): raise the rate of every unfrozen flow
 // uniformly until some constraint or flow cap saturates; freeze the flows it
 // binds; repeat. Constraints are compacted per call; non-contained shared
-// constraints are skipped (the escalated global solve goes through
-// water_fill_escalated, which reuses the persistent arena layout instead).
+// constraints are skipped.
 void FlowNetwork::water_fill(std::size_t first_item, std::size_t n_items) {
   const std::size_t cspace = constraint_space();
   const std::uint32_t n_local = static_cast<std::uint32_t>(2 * nodes_.size());
@@ -440,55 +423,10 @@ void FlowNetwork::water_fill(std::size_t first_item, std::size_t n_items) {
   run_fill(first_item, n_items);
 }
 
-void FlowNetwork::reset_arena() {
-  arena_idx_.assign(constraint_space(), kNilIndex);
-  arena_constraints_.clear();
-  ++arena_gen_;  // every cached slot binding is now stale
-}
-
-// Escalated global solve over all live flows (items_ holds every one) with
-// the full constraint set. The dense constraint->index layout persists
-// across epochs (reset only on topology change) and each flow slot caches
-// its indices, so in the saturated lockstep regime — where this runs nearly
-// every epoch — only capacities are reseeded and user counts recounted.
-// The fill math is identical to the per-call compaction: zero-user arena
-// entries never produce a water-fill increment.
-void FlowNetwork::water_fill_escalated() {
-  if (arena_idx_.size() < constraint_space()) reset_arena();
-  wf_cap_.resize(arena_constraints_.size());
-  for (std::size_t i = 0; i < arena_constraints_.size(); ++i)
-    wf_cap_[i] = constraint_cap(arena_constraints_[i]);
-  wf_users_.assign(arena_constraints_.size(), 0);
-  for (SolverItem& it : items_) {
-    FlowSlot& fs = flow_slots_[it.slot];
-    if (fs.arena_bound_gen != arena_gen_) {
-      for (std::uint8_t k = 0; k < fs.n_constraints; ++k) {
-        const std::uint32_t c = fs.constraints[k];
-        std::uint32_t idx = arena_idx_[c];
-        if (idx == kNilIndex) {
-          idx = static_cast<std::uint32_t>(arena_constraints_.size());
-          arena_idx_[c] = idx;
-          arena_constraints_.push_back(c);
-          wf_cap_.push_back(constraint_cap(c));
-          wf_users_.push_back(0);
-        }
-        fs.acidx[k] = idx;
-      }
-      fs.arena_bound_gen = arena_gen_;
-    }
-    it.n_cidx = fs.n_constraints;
-    for (std::uint8_t k = 0; k < fs.n_constraints; ++k) {
-      it.cidx[k] = fs.acidx[k];
-      ++wf_users_[fs.acidx[k]];
-    }
-    it.alloc = 0.0;
-    it.frozen = false;
-  }
-  run_fill(0, items_.size());
-}
-
-// The shared progressive-filling loop over items_[first_item, +n_items)
-// with capacities/user counts already seeded in wf_cap_/wf_users_.
+// The progressive-filling loop over items_[first_item, +n_items) with
+// capacities/user counts already seeded in wf_cap_/wf_users_. Its increment
+// is a min over constraints and each constraint is drained in item order,
+// so the rates do not depend on the compaction's index order.
 void FlowNetwork::run_fill(std::size_t first_item, std::size_t n_items) {
   std::size_t unfrozen = n_items;
   while (unfrozen > 0) {
@@ -542,15 +480,12 @@ void FlowNetwork::run_fill(std::size_t first_item, std::size_t n_items) {
 // every live flow; detaching in ascending slot order keeps component
 // releases — and with them the free list and every later component id —
 // exactly as a slot-order scan would leave them.
-bool FlowNetwork::collect_affected(bool topo_changed) {
+void FlowNetwork::collect_affected(bool topo_changed) {
   items_.clear();
-  bool any_split_risk = false;
   const auto collect = [&](std::uint32_t slot) {
     FlowSlot& fs = flow_slots_[slot];
-    const std::uint32_t prev = fs.comp;  // kNil for this epoch's arrivals
-    if (prev != kNilIndex && comps_[prev].split_risk) any_split_risk = true;
     detach_from_component(fs);
-    items_.push_back(SolverItem{&fs.flow, slot, 0.0, false, 0, prev, {}, 0});
+    items_.push_back(SolverItem{&fs.flow, slot, 0.0, false, 0, {}, 0});
   };
   // Every live flow is affected when ablated off, or after a topology change
   // shifted the incidence ids (recomputed here with the shared counts).
@@ -565,7 +500,7 @@ bool FlowNetwork::collect_affected(bool topo_changed) {
       }
       collect(slot);
     });
-    return any_split_risk;
+    return;
   }
   affected_.assign(arrivals_.begin(), arrivals_.end());
   for (const std::uint32_t id : dirty_comps_) {
@@ -581,7 +516,6 @@ bool FlowNetwork::collect_affected(bool topo_changed) {
     if (!fs.in_use || (fs.comp != kNilIndex && !comps_[fs.comp].dirty)) continue;
     collect(slot);
   }
-  return any_split_risk;
 }
 
 // One settle epoch: re-solve only the dirty region (see the header's
@@ -595,12 +529,9 @@ void FlowNetwork::solve_epoch() {
   const std::uint32_t n_local = static_cast<std::uint32_t>(2 * nodes_.size());
   if (shared_users_.size() < cspace) shared_users_.resize(cspace, 0);
   if (usage_.size() < cspace) usage_.resize(cspace, 0.0);
-  if (topo_changed) {
-    std::fill(shared_users_.begin(), shared_users_.end(), 0u);
-    reset_arena();  // constraint ids shifted: the dense layout is invalid
-  }
+  if (topo_changed) std::fill(shared_users_.begin(), shared_users_.end(), 0u);
 
-  const bool any_split_risk = collect_affected(topo_changed);
+  collect_affected(topo_changed);
 
   bool escalated = false;
   std::size_t n_groups = 0;
@@ -624,66 +555,15 @@ void FlowNetwork::solve_epoch() {
       std::uint32_t ra = find_root(a), rb = find_root(b);
       if (ra != rb) items_[std::max(ra, rb)].uf_parent = std::min(ra, rb);
     };
-    // Merge-only fast path: no split-risk member and an unchanged topology
-    // means membership can only have grown. Union each item into its
-    // previous component's representative (first member in slot order), then
-    // bridge the arrivals — the only items that can connect two previous
-    // components, since published components never share a NIC constraint.
-    // The union rule keeps the minimal item index as root either way, so the
-    // resulting partition, group numbering and item order are identical to
-    // the item-level rebuild below (see the header's membership fast path
-    // invariant).
-    const bool merge_only = cfg_.incremental && !topo_changed && !any_split_risk;
-    if (merge_only) {
-      ++membership_fast_epochs_;
-      if (comp_map_epoch_.size() < comps_.size()) {
-        comp_map_epoch_.resize(comps_.size(), 0);
-        comp_map_.resize(comps_.size(), kNilIndex);
-      }
-      ++comp_map_gen_;
-      for (std::uint32_t i = 0; i < items_.size(); ++i) {
-        const std::uint32_t prev = items_[i].prev_comp;
-        if (prev == kNilIndex) continue;
-        if (comp_map_epoch_[prev] != comp_map_gen_) {
-          comp_map_epoch_[prev] = comp_map_gen_;
-          comp_map_[prev] = i;
+    for (std::uint32_t i = 0; i < items_.size(); ++i) {
+      const FlowSlot& fs = flow_slots_[items_[i].slot];
+      for (int k = 0; k < 2; ++k) {
+        const std::uint32_t c = fs.constraints[k];
+        if (citem_epoch_[c] != pgen) {
+          citem_epoch_[c] = pgen;
+          citem_[c] = i;
         } else {
-          link(i, comp_map_[prev]);
-        }
-      }
-      for (std::uint32_t i = 0; i < items_.size(); ++i) {
-        if (items_[i].prev_comp != kNilIndex) continue;  // arrivals only
-        const FlowSlot& fs = flow_slots_[items_[i].slot];
-        for (int k = 0; k < 2; ++k) {
-          const std::uint32_t c = fs.constraints[k];
-          // Arrival-to-arrival sharing through the constraint-seed map.
-          if (citem_epoch_[c] != pgen) {
-            citem_epoch_[c] = pgen;
-            citem_[c] = i;
-          } else {
-            link(i, citem_[c]);
-          }
-          // Arrival-to-previous-component bridging through the NIC-owner
-          // map. A live owner is necessarily collected this epoch (the
-          // arrival dirtied it in begin_flow), so it has a representative.
-          if (c >= nic_owner_.size()) continue;
-          const std::uint32_t owner = nic_owner_[c];
-          if (owner != kNilIndex && nic_owner_gen_[c] == comps_[owner].gen &&
-              comp_map_epoch_[owner] == comp_map_gen_)
-            link(i, comp_map_[owner]);
-        }
-      }
-    } else {
-      for (std::uint32_t i = 0; i < items_.size(); ++i) {
-        const FlowSlot& fs = flow_slots_[items_[i].slot];
-        for (int k = 0; k < 2; ++k) {
-          const std::uint32_t c = fs.constraints[k];
-          if (citem_epoch_[c] != pgen) {
-            citem_epoch_[c] = pgen;
-            citem_[c] = i;
-          } else {
-            link(i, citem_[c]);
-          }
+          link(i, citem_[c]);
         }
       }
     }
@@ -771,9 +651,9 @@ void FlowNetwork::solve_epoch() {
         FlowSlot& fs = flow_slots_[s];
         detach_from_component(fs);  // clean components join the mega solve
         items_.push_back(SolverItem{&fs.flow, static_cast<std::uint32_t>(s), 0.0, false,
-                                    0, kNilIndex, {}, 0});
+                                    0, {}, 0});
       });
-      water_fill_escalated();
+      water_fill(0, items_.size());
       n_groups = 1;
       group_start_.clear();
       group_start_.push_back(0);
@@ -791,11 +671,6 @@ void FlowNetwork::solve_epoch() {
   }
   for (std::size_t g = 0; g < n_groups; ++g) {
     const std::uint32_t comp = alloc_component();
-    // An escalated publish artificially merges every live flow — including
-    // NIC-disconnected ones — into a single component. Only the item-level
-    // rebuild can split it back, so the merge-only fast path must not trust
-    // its membership.
-    comps_[comp].split_risk = escalated;
     comps_[comp].count = group_start_[g + 1] - group_start_[g];
     for (std::uint32_t i = group_start_[g]; i < group_start_[g + 1]; ++i) {
       const std::uint32_t slot = items_[i].slot;

@@ -33,9 +33,8 @@
 //  * Completions come from a min-heap of projected finish times that is
 //    invalidated lazily: entries are re-validated against the flow's
 //    current projection when popped instead of being rescanned.
-//  * flow_rate() is maintained incrementally per (src, dst) pair and costs
-//    O(1) per query; current_rate_sum() is summed on demand over the live
-//    flows (only tests ask for it, so no epoch pays to keep it current).
+//  * flow_rate() and current_rate_sum() are summed on demand over the live
+//    flows (only tests ask for them, so no epoch pays to keep them current).
 //
 // Incremental solver invariants
 // -----------------------------
@@ -89,7 +88,15 @@
 //     pre-incremental algorithm, in canonical slot order), and all flows
 //     merge into a single component so any later change re-solves it (and
 //     re-attempts decomposition, which is how the mega-component splits
-//     back once pressure drops).
+//     back once pressure drops). The escalated fill is the ordinary
+//     component water-fill over every live flow: each shared constraint's
+//     in-component user count then equals its live user count, so every
+//     constraint is contained and the full set participates.
+//
+// Membership is always rebuilt by union-find over the affected flows' NIC
+// constraints (roots are minimal item indices), so the partition, group
+// order and in-group item order depend only on the affected set in slot
+// order — never on how the previous components were formed.
 //
 // An incremental epoch on a network without a finite shared constraint in
 // use therefore costs O(dirty flows), not O(live flows); live_scan_count()
@@ -104,22 +111,6 @@
 // epoch) byte-identical to the incremental mode, which the randomized
 // equivalence suite asserts.
 //
-// Membership fast path (merge-only epochs): arrivals and capacity changes
-// can only MERGE components, never split them — splits require a departure
-// (or an escalated publish, whose mega-component was never NIC-connected).
-// Components carry a split_risk flag, set by real departures and escalated
-// publishes; when no affected item comes from a split-risk component (and
-// the topology is unchanged), the epoch derives membership by unioning each
-// item with its previous component's representative (O(1) per item) and
-// running constraint union-find over the arrivals only, bridging into
-// previous components through the NIC-owner map. Published components never
-// share a NIC constraint, so arrivals are the only possible bridges, and
-// the union rule (root = minimal item index) makes the resulting partition,
-// group order and in-group item order identical to the item-level rebuild —
-// the counters and rates cannot tell the paths apart. Epochs with a
-// split-risk member fall back to the item-level rebuild, which re-splits
-// exactly.
-//
 // Introspection: solved_component_count() counts component water-fills,
 // touched_flow_count() counts flow re-solves (both cumulative), so benches
 // can report flows-re-solved-per-epoch; escalation_count() says how often
@@ -130,7 +121,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -399,7 +389,8 @@ class FlowNetwork {
   std::size_t active_flows() const noexcept { return live_flows_; }
   /// Sum of live flow rates, computed on demand (O(live flows)).
   double current_rate_sum() const noexcept;
-  double flow_rate(NodeId src, NodeId dst) const noexcept;  // sum over matching flows
+  /// Sum of the rates of live src->dst flows, in slot order (O(live flows)).
+  double flow_rate(NodeId src, NodeId dst) const noexcept;
   /// Max-min solve epochs so far; lets tests assert that a burst of
   /// same-timestamp arrivals settles with exactly one recompute.
   std::uint64_t recompute_count() const noexcept { return recompute_count_; }
@@ -414,11 +405,6 @@ class FlowNetwork {
   std::uint64_t touched_flow_count() const noexcept { return touched_flows_; }
   /// Epochs where a violated shared constraint forced a global solve.
   std::uint64_t escalation_count() const noexcept { return escalations_; }
-  /// Epochs whose component membership came from the merge-only fast path
-  /// (no split-risk member: unions across arrivals instead of the
-  /// item-level rebuild). Tests assert it is exercised; the partition is
-  /// provably identical either way.
-  std::uint64_t membership_fast_epochs() const noexcept { return membership_fast_epochs_; }
   /// Live connected components right now (0 when idle).
   std::size_t component_count() const noexcept { return live_components_; }
   /// Walks over every live flow made by settle epochs (the phase-1 scan of
@@ -439,8 +425,8 @@ class FlowNetwork {
     double cap = kUnlimitedRate;
     double proj = kUnlimitedRate;  // projected completion (absolute time)
   };
-  // Laid out to fill exactly two cache lines (128 bytes): the 8-byte
-  // fields first, then the 4-byte ones, the flags last.
+  // The 8-byte fields first, then the 4-byte ones, the flags last, so the
+  // slot carries no interior padding.
   struct FlowSlot {
     Flow flow;
     // Continuation of the awaiting transfer op; stepped (via one zero-delay
@@ -448,9 +434,6 @@ class FlowNetwork {
     FlowOp* op = nullptr;
     // Solve pass in which item_idx was written (see item_idx).
     std::uint64_t solve_gen = 0;
-    // Dense escalation-arena indices in acidx are valid while this matches
-    // arena_gen_ (see "persistent compact arena").
-    std::uint64_t arena_bound_gen = 0;
     std::uint32_t gen = 0;  // bumped on release; completion entries compare it
     // Position in items_ for the current solve pass (valid while solve_gen
     // matches solve_pass_gen_): lets the shared-constraint usage pass look
@@ -465,11 +448,10 @@ class FlowNetwork {
     // Constraint incidence, computed at arrival (rebuilt on topology
     // change): [egress(src), ingress(dst), fabric, uplink-up, uplink-down].
     std::uint32_t constraints[5] = {};
-    std::uint32_t acidx[5] = {};  // arena index per constraint
     std::uint8_t n_constraints = 0;
     bool in_use = false;
   };
-  static_assert(sizeof(FlowSlot) == 128, "FlowSlot should fill two cache lines");
+  static_assert(sizeof(FlowSlot) == 104, "FlowSlot layout changed: recheck the field order");
   struct Node {
     double egress_Bps;
     double ingress_Bps;
@@ -496,12 +478,6 @@ class FlowNetwork {
     std::uint32_t gen = 0;
     bool dirty = false;
     bool in_use = false;
-    // Membership may have shrunk (a real departure) or was never
-    // NIC-connected to begin with (escalated publish merges every live flow
-    // into one component). Either way the merge-only membership fast path
-    // is unsound for this component and the epoch falls back to the
-    // item-level union-find rebuild, which re-splits it exactly.
-    bool split_risk = false;
   };
   /// Lazily-invalidated projected completion; stale when the generation or
   /// the projection no longer matches the flow.
@@ -519,9 +495,6 @@ class FlowNetwork {
 
   std::uint32_t alloc_flow_slot();
   void release_flow_slot(std::uint32_t slot) noexcept;
-  static std::uint64_t pair_key(NodeId src, NodeId dst) noexcept {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
   void apply_rate(Flow& f, double new_rate, std::uint32_t slot);
   void push_projection(Flow& f, std::uint32_t slot);
   /// Schedule the epoch-settle event if one is not already pending.
@@ -562,13 +535,10 @@ class FlowNetwork {
   void advance_to_now();
   void solve_epoch();
   /// Phase 1 of solve_epoch: move the affected flows into items_ in
-  /// ascending slot order, detaching them from their components. Returns
-  /// whether any came from a split-risk component.
-  bool collect_affected(bool topo_changed);
+  /// ascending slot order, detaching them from their components.
+  void collect_affected(bool topo_changed);
   void water_fill(std::size_t first_item, std::size_t n_items);
-  void water_fill_escalated();
   void run_fill(std::size_t first_item, std::size_t n_items);
-  void reset_arena();
   void schedule_completion();
   void on_completion_timer();
 
@@ -618,18 +588,11 @@ class FlowNetwork {
   sim::Simulator::Timer completion_timer_;
   double completion_timer_t_ = -1.0;
 
-  struct PairRate {
-    double rate = 0.0;
-    std::uint32_t count = 0;
-  };
-  std::unordered_map<std::uint64_t, PairRate> pair_rates_;
-
   std::uint64_t recompute_count_ = 0;
   std::uint64_t flows_started_ = 0;
   std::uint64_t solved_components_ = 0;
   std::uint64_t touched_flows_ = 0;
   std::uint64_t escalations_ = 0;
-  std::uint64_t membership_fast_epochs_ = 0;
   std::uint64_t live_scans_ = 0;
   double traffic_[kNumTrafficClasses] = {};
 
@@ -640,7 +603,6 @@ class FlowNetwork {
     double alloc;
     bool frozen;
     std::uint32_t uf_parent;   // union-find over affected items
-    std::uint32_t prev_comp;   // component before this epoch (kNil = arrival)
     std::uint32_t cidx[5];     // compact constraint indices for one water-fill
     std::uint8_t n_cidx;
   };
@@ -665,22 +627,6 @@ class FlowNetwork {
   std::vector<std::uint64_t> citem_epoch_;
   std::uint64_t citem_gen_used_ = 0;
   std::vector<std::uint32_t> finished_scratch_;
-  // Epoch-stamped previous-component -> representative-item map for the
-  // merge-only membership fast path (indexed by component id; ids released
-  // during the collect pass stay valid keys until publish re-allocates).
-  std::vector<std::uint32_t> comp_map_;
-  std::vector<std::uint64_t> comp_map_epoch_;
-  std::uint64_t comp_map_gen_ = 0;
-
-  // Persistent compact arena for the escalated global solve: dense
-  // constraint indices assigned on first use and kept alive across epochs
-  // (reset only on topology change), so the saturated lockstep regime does
-  // not rebuild the compaction each escalation. Flow slots cache their
-  // dense indices (acidx) under arena_gen_; per escalation only capacities
-  // are reseeded and per-item user counts recounted.
-  std::vector<std::uint32_t> arena_idx_;          // constraint -> dense index
-  std::vector<std::uint32_t> arena_constraints_;  // dense index -> constraint
-  std::uint64_t arena_gen_ = 1;                   // 0 marks unbound slots
 };
 
 }  // namespace hm::net

@@ -150,7 +150,9 @@ TEST(ArrivalProcess, PoissonIsDeterministicMonotoneAndWindowed) {
     EXPECT_EQ(a[i].high_priority, b[i].high_priority);
     EXPECT_GE(a[i].at, 5.0);
     EXPECT_LT(a[i].at, 200.0);
-    if (i > 0) EXPECT_GE(a[i].at, a[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(a[i].at, a[i - 1].at);
+    }
   }
   // A different seed moves the instants.
   const auto c = drain_process(spec, 43);
@@ -189,7 +191,9 @@ TEST(ArrivalProcess, DiurnalThinningIsDeterministicAndBounded) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].at, b[i].at);
     EXPECT_LT(a[i].at, 400.0);
-    if (i > 0) EXPECT_GE(a[i].at, a[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(a[i].at, a[i - 1].at);
+    }
   }
 }
 
@@ -364,7 +368,9 @@ void expect_terminal_accounting(const Rig& rig) {
       EXPECT_GE(r.t_dispatched, r.t_arrival) << "request " << r.id;
       ASSERT_NE(r.migration, nullptr) << "request " << r.id;
     }
-    if (r.t_completed >= 0) EXPECT_GE(r.t_completed, r.t_dispatched);
+    if (r.t_completed >= 0) {
+      EXPECT_GE(r.t_completed, r.t_dispatched);
+    }
   }
 }
 
@@ -466,7 +472,9 @@ void expect_constraints_held(const Rig& rig, std::uint32_t capacity,
         groups == 0 ? 0 : static_cast<std::uint32_t>(e.r->vm_id) % groups;
     if (e.type == 1) {
       const std::uint32_t n = ++load[e.r->dst];
-      if (capacity > 0) EXPECT_LE(n, capacity) << "node " << e.r->dst << " at t=" << e.t;
+      if (capacity > 0) {
+        EXPECT_LE(n, capacity) << "node " << e.r->dst << " at t=" << e.t;
+      }
       if (groups > 0) {
         const std::uint32_t gl = ++group_load[std::make_pair(e.r->dst, g)];
         EXPECT_LE(gl, 1u) << "group " << g << " collided on node " << e.r->dst

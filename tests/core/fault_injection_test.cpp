@@ -41,8 +41,11 @@ TEST(FaultInjection, HybridAbortMidPushPreservesPartialState) {
   std::unique_ptr<storage::ChunkStore> store = session->take_partial_destination(&valid);
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(valid.count(), pushed);
-  for (ChunkId c = 0; c < 8; ++c)
-    if (valid.test(c)) EXPECT_TRUE(store->modified(c)) << c;
+  for (ChunkId c = 0; c < 8; ++c) {
+    if (valid.test(c)) {
+      EXPECT_TRUE(store->modified(c)) << c;
+    }
+  }
   // The replica was handed over: a second take yields nothing.
   util::DirtyBitmap again{0};
   EXPECT_EQ(session->take_partial_destination(&again), nullptr);

@@ -123,7 +123,9 @@ void expect_identical(const ExperimentResult& ref, const ExperimentResult& got,
     EXPECT_EQ(ref.engine_components, got.engine_components);
     EXPECT_EQ(ref.engine_flows_resolved, got.engine_flows_resolved);
   }
-  if (exact_epochs) EXPECT_EQ(ref.engine_recomputes, got.engine_recomputes);
+  if (exact_epochs) {
+    EXPECT_EQ(ref.engine_recomputes, got.engine_recomputes);
+  }
 }
 
 ExperimentResult run_with_shards(ExperimentConfig cfg, std::uint32_t shards) {

@@ -213,6 +213,30 @@ TEST(FlowNetwork, ActiveFlowIntrospection) {
   EXPECT_EQ(f.net.active_flows(), 0u);
 }
 
+TEST(FlowNetwork, FlowRateSumsSamePairFlowsAndZeroesWhenDrained) {
+  NetFixture f;
+  const NodeId a = f.net.add_node(kNic), b = f.net.add_node(kNic);
+  const NodeId c = f.net.add_node(kNic), d = f.net.add_node(kNic);
+  double done[3] = {-1, -1, -1};
+  // Two a->b flows split a's egress 30/70 (one is capped); c->d outlives
+  // both so the network is not idle when the pair drains.
+  f.s.spawn(xfer(&f.net, a, b, 30e6, TrafficClass::kMemory, &done[0], &f.s, 30e6));
+  f.s.spawn(xfer(&f.net, a, b, 140e6, TrafficClass::kMemory, &done[1], &f.s));
+  f.s.spawn(xfer(&f.net, c, d, 500e6, TrafficClass::kMemory, &done[2], &f.s));
+  f.s.run_until(0.5);
+  EXPECT_DOUBLE_EQ(f.net.flow_rate(a, b), 30e6 + 70e6);
+  EXPECT_EQ(f.net.flow_rate(b, a), 0.0);
+  f.s.run_until(1.2);  // the capped flow finished at t=1
+  EXPECT_DOUBLE_EQ(f.net.flow_rate(a, b), kNic);
+  f.s.run_until(2.0);  // the uncapped one at t=1.7
+  EXPECT_EQ(f.net.active_flows(), 1u);
+  EXPECT_EQ(f.net.flow_rate(a, b), 0.0);
+  EXPECT_EQ(f.net.flow_rate(c, d), kNic);
+  f.s.run();
+  EXPECT_NEAR(done[0], 1.0, 1e-9);
+  EXPECT_NEAR(done[1], 1.7, 1e-9);
+}
+
 // Property-style sweep: with N equal flows through one bottleneck, each gets
 // capacity/N and total rate never exceeds capacity.
 class FairnessSweep : public ::testing::TestWithParam<int> {};

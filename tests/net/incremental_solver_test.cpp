@@ -114,9 +114,9 @@ RunLog run_scenario(const Topology& topo, const std::vector<FlowSpec>& flows,
     s.schedule(faults[i].start, [c = &ctx, i] { c->fault(i, true); });
     s.schedule(faults[i].start + faults[i].dur, [c = &ctx, i] { c->fault(i, false); });
   }
-  // Probe the full pair-rate matrix at fixed virtual times: these reads hit
-  // the cached rates of clean components, which is exactly what must be
-  // byte-identical between the ablation arms.
+  // Probe the full pair-rate matrix at fixed virtual times: each read sums
+  // the live flows' rates, including the cached rates of clean components,
+  // which is exactly what must be byte-identical between the ablation arms.
   for (int probe = 1; probe <= 8; ++probe) {
     s.schedule(probe * 0.7, [c = &ctx] { c->probe(); });
   }
@@ -243,7 +243,9 @@ TEST(IncrementalSolver, EquivalentUnderFaultChurn) {
       const RunLog inc = run_scenario(topo, flows, true, faults);
       const RunLog full = run_scenario(topo, flows, false, faults);
       expect_identical(inc, full);
-      if (topo.fabric == kUnlimitedRate) EXPECT_EQ(inc.live_scans, 1u);
+      if (topo.fabric == kUnlimitedRate) {
+        EXPECT_EQ(inc.live_scans, 1u);
+      }
       for (const int ok : inc.succeeded) failed += ok == 0;
     }
   }

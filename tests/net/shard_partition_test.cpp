@@ -1,10 +1,12 @@
 // Deterministic component partitioner (net/shard_partition.h): component
 // discovery over (item, node) incidences, canonical ordering, balanced
 // greedy packing, the torn-partition case (fewer components than bins),
-// and input edge cases. Also pins the merge-only membership fast path in
-// FlowNetwork::solve_epoch: arrival-only epochs must take it (the counter
-// moves), full-solve mode and epochs after a departure must not, and the
-// resulting timeline is byte-identical either way.
+// and input edge cases. Also pins FlowNetwork's component membership, which
+// every settle epoch rebuilds by union-find over the affected flows' NIC
+// constraints: staggered arrivals give the same timeline in both solver
+// regimes, departures keep the completion order, reruns are identical, and
+// an escalated mega-component splits back into its NIC partition as soon
+// as the fabric stops binding.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -97,7 +99,7 @@ TEST(ShardPartition, ItemsWithoutEdgesAreSingletons) {
   EXPECT_EQ(asg.bins_used, 2u);
 }
 
-// --- membership fast path (merge-only epochs) ----------------------------
+// --- solver component membership ------------------------------------------
 
 sim::Task run_one_flow(FlowNetwork* net, NodeId src, NodeId dst, double bytes,
                        double* done_at, sim::Simulator* s) {
@@ -105,9 +107,8 @@ sim::Task run_one_flow(FlowNetwork* net, NodeId src, NodeId dst, double bytes,
   *done_at = s->now();
 }
 
-struct FastPathLog {
+struct MembershipLog {
   std::vector<double> completions;
-  std::uint64_t fast_epochs = 0;
   std::uint64_t recomputes = 0;
   std::uint64_t solved_components = 0;
   std::uint64_t touched = 0;
@@ -115,20 +116,20 @@ struct FastPathLog {
 
 /// Launch flows at the given start times on a flat unlimited-fabric
 /// topology and report completions plus the solver's membership counters.
-FastPathLog run_arrivals(const std::vector<double>& starts, double bytes,
-                         bool incremental) {
+MembershipLog run_arrivals(const std::vector<double>& starts, double bytes,
+                           bool incremental) {
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9, incremental});
   std::vector<NodeId> nodes;
   for (std::size_t i = 0; i < 2 * starts.size(); ++i) nodes.push_back(net.add_node(100e6));
 
-  FastPathLog log;
+  MembershipLog log;
   log.completions.assign(starts.size(), -1.0);
   struct Ctx {
     sim::Simulator& s;
     FlowNetwork& net;
     const std::vector<NodeId>& nodes;
-    FastPathLog& log;
+    MembershipLog& log;
     double bytes;
     void launch(std::size_t i) {
       s.spawn(run_one_flow(&net, nodes[2 * i], nodes[2 * i + 1], bytes,
@@ -138,7 +139,6 @@ FastPathLog run_arrivals(const std::vector<double>& starts, double bytes,
   for (std::size_t i = 0; i < starts.size(); ++i)
     s.schedule(starts[i], [c = &ctx, i] { c->launch(i); });
   s.run();
-  log.fast_epochs = net.membership_fast_epochs();
   log.recomputes = net.recompute_count();
   log.solved_components = net.solved_component_count();
   log.touched = net.touched_flow_count();
@@ -146,31 +146,25 @@ FastPathLog run_arrivals(const std::vector<double>& starts, double bytes,
   return log;
 }
 
-TEST(MembershipFastPath, ArrivalOnlyEpochsTakeTheMergePath) {
-  // Big flows, staggered arrivals: every arrival epoch after the first sees
-  // no departure and no topology change, so membership must come from the
-  // merge-only path. (The first epoch follows add_node => full rebuild;
-  // completion epochs carry split risk => full rebuild.)
+TEST(ComponentMembership, StaggeredArrivalsMatchFullSolve) {
+  // Big flows, staggered arrivals: every epoch after the first is
+  // arrival-only (no departure, no topology change) until the completions.
   const std::vector<double> starts = {0.0, 1.0, 2.0, 3.0};
-  const FastPathLog inc = run_arrivals(starts, 800e6, true);
-  EXPECT_EQ(inc.fast_epochs, starts.size() - 1);
+  const MembershipLog inc = run_arrivals(starts, 800e6, true);
   for (double t : inc.completions) EXPECT_GT(t, 3.0);
 
-  // Full-solve mode never takes the fast path, and the timeline is
-  // byte-identical anyway — membership maintenance is pure bookkeeping.
-  const FastPathLog full = run_arrivals(starts, 800e6, false);
-  EXPECT_EQ(full.fast_epochs, 0u);
+  // Full-solve mode re-solves every component each epoch, and the timeline
+  // is byte-identical anyway — membership maintenance is pure bookkeeping.
+  const MembershipLog full = run_arrivals(starts, 800e6, false);
   EXPECT_EQ(inc.completions, full.completions);
   EXPECT_EQ(inc.recomputes, full.recomputes);
 }
 
-TEST(MembershipFastPath, DepartureEpochsRebuild) {
+TEST(ComponentMembership, DeparturesKeepCompletionOrder) {
   // Three flows sharing one egress NIC (n0): a long-lived A plus two short
   // flows B and C that arrive while A is live and depart before the next
-  // arrival. The two arrival epochs (t=1, t=3) see a clean surviving
-  // component and take the fast path; the two departure epochs (B and C
-  // completing) collect the split-risk survivor A and must rebuild. Exact
-  // count: 2 fast epochs, no more.
+  // arrival. Each arrival merges into A's component and each departure
+  // shrinks it back to A alone.
   sim::Simulator s;
   FlowNetwork net(s, FlowNetworkConfig{kUnlimitedRate, 0.0, 8e9, true});
   const NodeId n0 = net.add_node(100e6);
@@ -194,23 +188,62 @@ TEST(MembershipFastPath, DepartureEpochsRebuild) {
   });
   s.run();
   EXPECT_EQ(net.active_flows(), 0u);
-  EXPECT_EQ(net.membership_fast_epochs(), 2u);
   // B and C finished while A was still draining; A finished last.
   EXPECT_GT(done[0], done[1]);
   EXPECT_GT(done[0], done[2]);
   EXPECT_GT(done[2], done[1]);
 }
 
-TEST(MembershipFastPath, IdenticalCountersAcrossReruns) {
+TEST(ComponentMembership, IdenticalCountersAcrossReruns) {
   const std::vector<double> starts = {0.0, 0.5, 0.5, 2.0, 2.0, 2.5};
-  const FastPathLog a = run_arrivals(starts, 600e6, true);
-  const FastPathLog b = run_arrivals(starts, 600e6, true);
+  const MembershipLog a = run_arrivals(starts, 600e6, true);
+  const MembershipLog b = run_arrivals(starts, 600e6, true);
   EXPECT_EQ(a.completions, b.completions);
-  EXPECT_EQ(a.fast_epochs, b.fast_epochs);
   EXPECT_EQ(a.recomputes, b.recomputes);
   EXPECT_EQ(a.solved_components, b.solved_components);
   EXPECT_EQ(a.touched, b.touched);
-  EXPECT_GT(a.fast_epochs, 0u);
+}
+
+TEST(ComponentMembership, EscalatedComponentSplitsWhenFabricStopsBinding) {
+  // Three NIC-disjoint flows A (n0->n1), B (n2->n3), C (n4->n5) at 100 MB/s
+  // NICs ask for 300 MB/s of a 260 MB/s fabric: the t=0 epoch escalates
+  // and publishes all three as one mega-component. At t=1 an arrival-only
+  // epoch adds D (n0->n3), which shares A's egress and B's ingress: the
+  // NIC-level rates drop to 50/50/50 + 100 = 250 MB/s, so the fabric stops
+  // binding and membership must fall back to the NIC partition {A, B, D},
+  // {C} — not stay merged because the flows were merged before.
+  for (const bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incremental" : "full solve");
+    sim::Simulator s;
+    FlowNetwork net(s, FlowNetworkConfig{260e6, 0.0, 8e9, incremental});
+    std::vector<NodeId> n;
+    for (int i = 0; i < 6; ++i) n.push_back(net.add_node(100e6));
+    std::vector<double> done(4, -1.0);
+    for (int i = 0; i < 3; ++i)
+      s.spawn(run_one_flow(&net, n[2 * i], n[2 * i + 1], 1e9, &done[i], &s));
+    struct Ctx {
+      sim::Simulator& s;
+      FlowNetwork& net;
+      std::vector<NodeId>& n;
+      std::vector<double>& done;
+    } ctx{s, net, n, done};
+    s.schedule(1.0, [c = &ctx] {
+      c->s.spawn(run_one_flow(&c->net, c->n[0], c->n[3], 1e9, &c->done[3], &c->s));
+    });
+
+    s.run_until(0.5);
+    EXPECT_EQ(net.escalation_count(), 1u);
+    EXPECT_EQ(net.component_count(), 1u);
+    const std::uint64_t recomputes = net.recompute_count();
+
+    s.run_until(1.0);
+    EXPECT_EQ(net.recompute_count(), recomputes + 1);  // the arrival epoch only
+    EXPECT_EQ(net.escalation_count(), 1u);
+    EXPECT_EQ(net.component_count(), 2u);
+
+    s.run();
+    EXPECT_EQ(net.active_flows(), 0u);
+  }
 }
 
 }  // namespace
